@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-
-import numpy as np
 
 from .centrality import anti_centrality
 from .experiment import (
     VALIDATION_SUITES,
     load_config,
     run_experiment,
+    urn_moment_checks,
     validate_formulas,
 )
 from .finders import (
@@ -40,7 +38,6 @@ from .stats import (
     descendant_histogram,
     mcdiarmid_tail_check,
     deep_tail_check,
-    polya_fraction_samples,
     singleton_parents,
 )
 from .trees import (
@@ -344,7 +341,19 @@ def _stats_check(args) -> int:
     rng = _resolve_rng(args)
     if args.check == "polya":
         trials = args.trials if args.trials is not None else 100_000
-        result = _polya_check(args.red, args.blue, args.draws, trials, rng)
+        checks = urn_moment_checks(args.red, args.blue, args.draws, trials, rng)
+        result = {
+            "check": "polya",
+            "red": args.red,
+            "blue": args.blue,
+            "draws": args.draws,
+            "runs": trials,
+            **{
+                key: {"mean": checks[0][key], "variance": checks[1][key]}
+                for key in ("empirical", "theoretical", "se")
+            },
+            "passed": checks[0]["passed"] and checks[1]["passed"],
+        }
     elif args.check == "mcdiarmid":
         if args.l is None or args.t is None:
             raise ValueError("mcdiarmid check needs --l and --t")
@@ -355,10 +364,7 @@ def _stats_check(args) -> int:
             "l": args.l,
             "t": args.t,
             "trials": trials,
-            "empirical": tail.empirical,
-            "theoretical": tail.theoretical,
-            "se": tail.se,
-            "passed": tail.passed,
+            **tail.verdict(),
         }
     else:
         if args.n is None or args.k is None:
@@ -370,39 +376,10 @@ def _stats_check(args) -> int:
             "n": args.n,
             "k": args.k,
             "trials": trials,
-            "empirical": tail.empirical,
-            "theoretical": tail.theoretical,
-            "se": tail.se,
-            "passed": tail.passed,
+            **tail.verdict(),
         }
     _emit(json.dumps(result, indent=2) + "\n", args.output)
     return 0 if result["passed"] else 1
-
-
-def _polya_check(red: int, blue: int, draws: int, runs: int, rng: RngHandle) -> dict:
-    fractions = polya_fraction_samples(red, blue, draws, runs, rng)
-    total = red + blue
-    mean_exact = red / total
-    var_exact = red * blue / (total * total * (total + 1))
-    mean = float(fractions.mean())
-    mean_se = float(fractions.std(ddof=1) / math.sqrt(runs))
-    centered = fractions - mean
-    s2 = float(np.mean(centered**2) * runs / (runs - 1))
-    m4 = float(np.mean(centered**4))
-    var_se = math.sqrt(max(m4 - s2 * s2, 0.0) / runs)
-    mean_ok = abs(mean - mean_exact) <= 3.0 * mean_se
-    var_ok = abs(s2 - var_exact) <= 3.0 * var_se
-    return {
-        "check": "polya",
-        "red": red,
-        "blue": blue,
-        "draws": draws,
-        "runs": runs,
-        "empirical": {"mean": mean, "variance": s2},
-        "theoretical": {"mean": mean_exact, "variance": var_exact},
-        "se": {"mean": mean_se, "variance": var_se},
-        "passed": bool(mean_ok and var_ok),
-    }
 
 
 def _cmd_experiment_run(args) -> int:

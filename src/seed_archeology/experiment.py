@@ -57,6 +57,7 @@ __all__ = [
     "run_trial_artifacts",
     "TrialArtifacts",
     "run_experiment",
+    "urn_moment_checks",
     "validate_formulas",
     "wilson_interval",
 ]
@@ -513,20 +514,31 @@ def _camouflage_suite(trials: int, rng: RngHandle) -> list[dict]:
     ]
 
 
-def _polya_suite(trials: int, rng: RngHandle) -> list[dict]:
-    red, blue, draws = 3, 7, 1000
-    fractions = stats.polya_fraction_samples(red, blue, draws, trials, rng)
+def urn_moment_checks(
+    red: int, blue: int, draws: int, runs: int, rng: RngHandle
+) -> list[dict]:
+    """Mean and variance of the urn's red fraction against their exact values.
+
+    After `draws` draws from an urn of `red` + `blue` = N balls, the red
+    fraction has mean red/N and variance
+    ``red blue / (N^2 (N + 1)) * draws / (N + draws)``; the Beta limit
+    drops the last factor.  Each check passes within 3 standard errors.
+    """
+    if runs < 2:
+        raise ValueError(f"the urn check needs at least 2 runs, got {runs}")
+    fractions = stats.polya_fraction_samples(red, blue, draws, runs, rng)
     total = red + blue
-    mean_exact = red / total
-    var_exact = red * blue / (total * total * (total + 1))
+    var_exact = (
+        red * blue / (total * total * (total + 1)) * draws / (total + draws)
+    )
     mean_check = _three_se_check(
-        f"urn ({red},{blue}) mean fraction", fractions, mean_exact
+        f"urn ({red},{blue}) mean fraction", fractions, red / total
     )
     centered = fractions - fractions.mean()
-    s2 = float(np.mean(centered**2) * trials / (trials - 1))
-    # Delta-method SE of the sample variance: sqrt((m4 - s2^2) / trials).
+    s2 = float(np.mean(centered**2) * runs / (runs - 1))
+    # Delta-method SE of the sample variance: sqrt((m4 - s2^2) / runs).
     m4 = float(np.mean(centered**4))
-    se = math.sqrt(max(m4 - s2 * s2, 0.0) / trials)
+    se = math.sqrt(max(m4 - s2 * s2, 0.0) / runs)
     var_check = {
         "name": f"urn ({red},{blue}) fraction variance",
         "empirical": s2,
@@ -537,28 +549,17 @@ def _polya_suite(trials: int, rng: RngHandle) -> list[dict]:
     return [mean_check, var_check]
 
 
+def _polya_suite(trials: int, rng: RngHandle) -> list[dict]:
+    return urn_moment_checks(3, 7, 1000, trials, rng)
+
+
 def _tails_suite(trials: int, rng: RngHandle) -> list[dict]:
-    checks = []
     deep = stats.deep_tail_check(64, 1, trials, rng)
-    checks.append(
-        {
-            "name": "deep-vertex tail n=64 k=1",
-            "empirical": deep.empirical,
-            "theoretical": deep.theoretical,
-            "se": deep.se,
-            "passed": deep.passed,
-        }
-    )
+    checks = [{"name": "deep-vertex tail n=64 k=1", **deep.verdict()}]
     for t in (5.0, 30.0):
         mc = stats.mcdiarmid_tail_check(60, t, trials, rng)
         checks.append(
-            {
-                "name": f"camouflage lower tail l=60 t={t:g}",
-                "empirical": mc.empirical,
-                "theoretical": mc.theoretical,
-                "se": mc.se,
-                "passed": mc.passed,
-            }
+            {"name": f"camouflage lower tail l=60 t={t:g}", **mc.verdict()}
         )
     return checks
 

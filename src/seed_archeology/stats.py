@@ -1,13 +1,14 @@
 """Exact counters and estimators for grown-tree statistics.
 
-Per-tree operations (histograms of descendant counts, singleton parents,
-camouflaging vertices, deep vertices) work on a single
-:class:`~seed_archeology.trees.ArrivalTree` and are exact integer counts.
-Batched samplers (``urrt_parent_matrix`` and friends) draw many trees at
-once as a ``(trials, n - 1)`` parent matrix and evaluate the same counts
-column-wise in numpy; tests pin them to the per-tree versions on random
-instances.  Closed forms (collision probabilities, tail bounds) live next
-to the estimators they calibrate.
+Each counted quantity (child counts, singleton parents, camouflaging
+vertices) has one implementation: a loop-free function of a
+``(trials, cols)`` parent matrix, as drawn by ``urrt_parent_matrix``,
+whose row t holds the parents of vertices 2, 3, ... of tree t.  The
+per-tree functions (``singleton_parents``, ``count_camouflaging``) call
+it on a one-row matrix cut from ``ArrivalTree.parent_of``.  The ground
+truth both are tested against is ``tests/oracles.py``, written from the
+definitions.  Closed forms (collision probabilities, tail bounds) live
+next to the estimators they calibrate.
 
 Rooted conventions: the root is vertex 1, the descendants of v are the
 vertices of v's subtree other than v itself, and a leaf is a vertex with
@@ -140,9 +141,8 @@ def singleton_parents(tree: ArrivalTree) -> CamouflageReport:
     """
     if tree.n < 2:
         raise ValueError("a tree with one vertex has no parent/child pairs")
-    child_count, only_child = _children_digest(tree.parent_of, tree.n)
-    sp = _singleton_parent_set(child_count, only_child)
-    return CamouflageReport(tree.n, sp, frozenset())
+    hits, _ = _singleton_hits(tree.parent_of[2:][None], tree.n)
+    return CamouflageReport(tree.n, _labels(hits[0]), frozenset())
 
 
 def count_camouflaging(tree: ArrivalTree, l: int) -> CamouflageReport:
@@ -168,47 +168,13 @@ def count_camouflaging(tree: ArrivalTree, l: int) -> CamouflageReport:
             f"need at least 2l = {2 * l} vertices to evaluate the "
             f"camouflage conditions, got {tree.n}"
         )
-    parent = tree.parent_of
-    count_l, only_child = _children_digest(parent[: l + 1], l)
-    count_2l = np.bincount(parent[2 : 2 * l + 1], minlength=2 * l + 1)
-    sp = _singleton_parent_set(count_l, only_child)
-    keep = []
-    window = np.arange(l + 1, 2 * l + 1)
-    window_parents = parent[window]
-    window_is_leaf = count_2l[window] == 0
-    for v in sp:
-        d = int(only_child[v])
-        if count_2l[d] != 0:
-            continue
-        if bool(np.any(window_is_leaf & (window_parents == v))):
-            keep.append(v)
-    return CamouflageReport(l, sp, frozenset(keep))
+    window_rows = tree.parent_of[2 : 2 * l + 1][None]
+    singles, camouflaged = _camouflage_hits(window_rows, l)
+    return CamouflageReport(l, _labels(singles[0]), _labels(camouflaged[0]))
 
 
-def _children_digest(
-    parent: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex child count and, where it is 1, the child's label.
-
-    `only_child[v]` holds the sum of v's children's labels, which equals
-    the child itself exactly when ``child_count[v] == 1``.
-    """
-    children = np.arange(2, n + 1)
-    child_count = np.bincount(parent[2 : n + 1], minlength=n + 1)
-    only_child = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(only_child, parent[2 : n + 1], children)
-    return child_count, only_child
-
-
-def _singleton_parent_set(
-    child_count: np.ndarray, only_child: np.ndarray
-) -> frozenset[int]:
-    candidates = np.flatnonzero(child_count == 1)
-    return frozenset(
-        int(v)
-        for v in candidates
-        if v >= 1 and child_count[only_child[v]] == 0
-    )
+def _labels(hit_row: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(hit_row).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +306,11 @@ def path_collision_frequency(l: int, trials: int, rng: RngHandle) -> float:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = 2 * l
-    deg = np.ones((trials, n + 1), dtype=np.int64)
-    deg[:, 0] = 0
-    deg[:, 2:l] = 2  # path interior
+    base = np.ones(n + 1, dtype=np.int64)
+    base[0] = 0
+    base[2:l] = 2  # path interior
     parents = _grown_parent_matrix(l, n, trials, rng)
-    rows = np.arange(trials)
-    for j in range(parents.shape[1]):
-        deg[rows, parents[:, j]] += 1
+    deg = base + _child_counts(parents, n)
     is_path = deg[:, 1:].max(axis=1) <= 2
     at_end = (deg[:, 1] == 1) | (deg[:, l] == 1)
     return float(np.mean(is_path & at_end))
@@ -384,6 +348,15 @@ class TailCheckResult:
     @property
     def passed(self) -> bool:
         return self.empirical <= self.theoretical + 3.0 * self.se
+
+    def verdict(self) -> dict:
+        """``empirical``, ``theoretical``, ``se`` and ``passed``, in that order."""
+        return {
+            "empirical": self.empirical,
+            "theoretical": self.theoretical,
+            "se": self.se,
+            "passed": self.passed,
+        }
 
 
 def mcdiarmid_tail_check(
@@ -476,49 +449,23 @@ def subtree_size_matrix(parents: np.ndarray) -> np.ndarray:
 
 def singleton_parent_counts(parents: np.ndarray) -> np.ndarray:
     """S (number of singleton parents) for every tree of a parent matrix."""
-    trials, cols = parents.shape
-    n = cols + 1
-    child_count, only_child = _children_digest_matrix(parents, n)
-    d = np.clip(only_child, 0, n)
-    d_children = np.take_along_axis(child_count, d, axis=1)
-    hits = (child_count == 1) & (d_children == 0)
-    return hits[:, 1:].sum(axis=1)
+    hits, _ = _singleton_hits(parents, parents.shape[1] + 1)
+    return hits.sum(axis=1)
 
 
 def camouflage_counts(parents: np.ndarray, l: int) -> np.ndarray:
     """G for every tree of a ``(trials, 2l - 1)`` parent matrix.
 
-    Same three conditions as :func:`count_camouflaging`, evaluated
-    column-wise for all trials at once.
+    Same three conditions as :func:`count_camouflaging`, evaluated for
+    all trials at once.
     """
-    trials, cols = parents.shape
+    cols = parents.shape[1]
     if cols != 2 * l - 1:
         raise ValueError(
             f"parent matrix has {cols} columns, expected 2l - 1 = {2 * l - 1}"
         )
-    n = 2 * l
-    rows = np.arange(trials)
-    count_l, only_child = _children_digest_matrix(parents[:, : l - 1], l)
-    count_2l = np.zeros((trials, n + 1), dtype=np.int64)
-    for j in range(cols):
-        count_2l[rows, parents[:, j]] += 1
-    d = np.clip(only_child, 0, l)
-    d_count_l = np.take_along_axis(count_l, d, axis=1)
-    d_count_2l = np.take_along_axis(count_2l[:, : l + 1], d, axis=1)
-    # Window arrivals that are still leaves at time 2l, scattered onto
-    # their parents: marks v when some leaf w in l+1..2l attached to it.
-    leafy_parent = np.zeros((trials, n + 1), dtype=np.int64)
-    for j in range(l - 1, cols):
-        w = j + 2
-        is_leaf = count_2l[:, w] == 0
-        leafy_parent[rows, parents[:, j]] |= is_leaf
-    hits = (
-        (count_l == 1)
-        & (d_count_l == 0)
-        & (d_count_2l == 0)
-        & (leafy_parent[:, : l + 1] == 1)
-    )
-    return hits[:, 1:].sum(axis=1)
+    _, camouflaged = _camouflage_hits(parents, l)
+    return camouflaged.sum(axis=1)
 
 
 def sample_camouflage_counts(
@@ -533,16 +480,55 @@ def sample_camouflage_counts(
     return camouflage_counts(parents, l)
 
 
-def _children_digest_matrix(
+def _child_counts(parents: np.ndarray, n: int) -> np.ndarray:
+    """Number of children of each vertex 0..n, as a ``(trials, n + 1)`` matrix.
+
+    One flat bincount: row t's parents are shifted by t (n + 1), so every
+    tree counts into its own stretch of the output.
+    """
+    trials = parents.shape[0]
+    shifted = parents + (n + 1) * np.arange(trials)[:, None]
+    counts = np.bincount(shifted.ravel(), minlength=trials * (n + 1))
+    return counts.reshape(trials, n + 1)
+
+
+def _singleton_hits(
     parents: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix version of ``_children_digest``: counts and only-child sums."""
-    trials, cols = parents.shape
-    rows = np.arange(trials)
-    child_count = np.zeros((trials, n + 1), dtype=np.int64)
-    only_child = np.zeros((trials, n + 1), dtype=np.int64)
-    for j in range(cols):
-        p = parents[:, j]
-        child_count[rows, p] += 1
-        only_child[rows, p] += j + 2
-    return child_count, only_child
+    """The singleton rule on every tree of a ``(trials, n - 1)`` parent matrix.
+
+    Returns the ``(trials, n + 1)`` hit matrix (v has exactly one child
+    and that child is a leaf) and the only-child matrix it was read from:
+    wherever v has exactly one child, ``only_child[t, v]`` is its label.
+    Elsewhere it holds one of v's children, or 0 if v has none.
+    """
+    child_count = _child_counts(parents, n)
+    only_child = np.zeros_like(child_count)
+    # Duplicate targets keep an arbitrary writer, which matters only
+    # where v has two or more children and the rule fails anyway.
+    np.put_along_axis(
+        only_child, parents, np.arange(2, parents.shape[1] + 2)[None], axis=1
+    )
+    d_count = np.take_along_axis(child_count, only_child, axis=1)
+    return (child_count == 1) & (d_count == 0), only_child
+
+
+def _camouflage_hits(
+    parents: np.ndarray, l: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Singleton parents of T_l and camouflaging vertices, per tree.
+
+    `parents` is ``(trials, 2l - 1)``; both hit matrices are
+    ``(trials, l + 1)``, indexed by vertex.
+    """
+    trials = parents.shape[0]
+    singles, only_child = _singleton_hits(parents[:, : l - 1], l)
+    count_2l = _child_counts(parents, 2 * l)
+    d_leaf_2l = np.take_along_axis(count_2l, only_child, axis=1) == 0
+    # Window arrivals w = l+1..2l that are still leaves at time 2l,
+    # scattered onto their parents in one assignment.
+    window_leaf = count_2l[:, l + 1 :] == 0
+    leafy_parent = np.zeros((trials, 2 * l + 1), dtype=bool)
+    rows = np.nonzero(window_leaf)[0]
+    leafy_parent[rows, parents[:, l - 1 :][window_leaf]] = True
+    return singles, singles & d_leaf_2l & leafy_parent[:, : l + 1]

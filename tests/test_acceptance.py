@@ -176,13 +176,11 @@ def test_criterion_08_deep_vertex_tail(acceptance_report):
 
 
 def test_criterion_09_urn_fraction_moments(acceptance_report):
-    """Urn (3 red, 7 blue), 10^3 draws, 10^5 runs: Beta-limit moments.
+    """Urn (3 red, 7 blue), 10^3 draws, 10^5 runs: exact fraction moments.
 
-    The master seed here is pinned separately: after 10^3 draws the exact
-    variance of the red fraction is (0.21/11) * 1010/1011 approximately,
-    about 2.4 SE below the limit value at this run count, so the check
-    needs a seed whose sampling noise does not stack onto that bias.
-    Seed 13 sits 1.0 SE from the limit variance and 0.1 SE from the mean.
+    After 10^3 draws the red fraction has mean 0.3 and variance
+    (0.21/11) * 1000/1010; the Beta limit 0.21/11 is the draws -> infinity
+    value and sits about 2.3 SE above the exact one at this run count.
     """
     with acceptance_report.criterion(9, "urn fraction moments"):
         fractions = stats.polya_fraction_samples(3, 7, 1000, 100_000, RngHandle(13))
@@ -196,10 +194,10 @@ def test_criterion_09_urn_fraction_moments(acceptance_report):
         fourth = float(np.mean(centered**4))
         # Delta-method standard error of the sample variance.
         se_var = math.sqrt(max(fourth - sample_var**2, 0.0) / runs)
-        limit_var = 0.3 * 0.7 / 11.0
-        assert abs(sample_var - limit_var) <= 3.0 * se_var, (
+        exact_var = 0.3 * 0.7 / 11.0 * 1000.0 / 1010.0
+        assert abs(sample_var - exact_var) <= 3.0 * se_var, (
             sample_var,
-            limit_var,
+            exact_var,
             se_var,
         )
 

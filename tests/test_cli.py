@@ -373,9 +373,19 @@ class TestStats:
         verdict = json.loads(out)
         assert verdict["passed"] is True
         assert verdict["theoretical"]["mean"] == pytest.approx(0.3)
+        # Exact variance after 300 draws: the Beta limit times 300/310.
         assert verdict["theoretical"]["variance"] == pytest.approx(
-            0.21 / 11
+            0.21 / 11 * 300 / 310
         )
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_polya_check_needs_two_runs(self, capsys, trials):
+        code, _, err = run_cli(
+            capsys, "stats", "--check", "polya", "--trials", str(trials)
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert "at least 2 runs" in err
 
     def test_mcdiarmid_check(self, capsys):
         code, out, _ = run_cli(

@@ -299,16 +299,22 @@ class TestBatchedSamplers:
         parents = urrt_parent_matrix(n, 25, RngHandle(6))
         counts = singleton_parent_counts(parents)
         for row in range(25):
-            tree = tree_of(tuple(parents[row]))
-            assert counts[row] == singleton_parents(tree).S
+            expected = oracles.singleton_parent_labels(tuple(parents[row]))
+            assert counts[row] == len(expected)
 
-    @pytest.mark.parametrize("l", [2, 3, 5])
-    def test_camouflage_counts_match_per_tree(self, l):
-        parents = urrt_parent_matrix(2 * l, 40, RngHandle(7))
+    # One l=2000 tree checks the window-leaf scatter on hundreds of
+    # singleton parents, past what the small cases reach.
+    @pytest.mark.parametrize(
+        ("l", "trials"),
+        [(2, 40), (3, 40), (5, 40), (2000, 1)],
+        ids=["2", "3", "5", "2000"],
+    )
+    def test_camouflage_counts_match_per_tree(self, l, trials):
+        parents = urrt_parent_matrix(2 * l, trials, RngHandle(7))
         counts = camouflage_counts(parents, l)
-        for row in range(40):
-            tree = tree_of(tuple(parents[row]))
-            assert counts[row] == count_camouflaging(tree, l).G
+        for row in range(trials):
+            expected = oracles.camouflaging_labels(tuple(parents[row]), l)
+            assert counts[row] == len(expected)
 
     def test_camouflage_counts_column_check(self):
         parents = urrt_parent_matrix(10, 5, RngHandle(0))
