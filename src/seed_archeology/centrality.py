@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngHandle
-from .trees import ShapeView
+from .trees import ShapeView, _orient_from
 
 __all__ = [
     "CentralityProfile",
@@ -72,13 +72,7 @@ def anti_centrality(view: ShapeView) -> CentralityProfile:
     n = view.n
     if n < 1:
         raise ValueError("cannot rank an empty tree")
-    parent, levels = _orient_from(view, 1)
-    size = np.ones(n + 1, dtype=np.int64)
-    size[0] = 0
-    # Children accumulate into parents one level at a time, deepest first;
-    # add.at is required because siblings share a slot within a level.
-    for level in reversed(levels[1:]):
-        np.add.at(size, parent[level], size[level])
+    parent, size = _rooted_sizes(view)
     non_root = np.flatnonzero(parent > 0)
     max_child = np.zeros(n + 1, dtype=np.int64)
     np.maximum.at(max_child, parent[non_root], size[non_root])
@@ -117,11 +111,7 @@ def branch_sizes_at(view: ShapeView, v: int) -> dict[int, int]:
     """
     if not 1 <= v <= view.n:
         raise ValueError(f"vertex {v} not in 1..{view.n}")
-    parent, levels = _orient_from(view, 1)
-    size = np.ones(view.n + 1, dtype=np.int64)
-    size[0] = 0
-    for level in reversed(levels[1:]):
-        np.add.at(size, parent[level], size[level])
+    parent, size = _rooted_sizes(view)
     out: dict[int, int] = {}
     for u in view.neighbors(v):
         u = int(u)
@@ -134,46 +124,16 @@ def branch_sizes_at(view: ShapeView, v: int) -> dict[int, int]:
     return out
 
 
-def _orient_from(
-    view: ShapeView, root: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Root the tree at `root` by frontier BFS.
-
-    Returns the rooted parent array (0 for the root) and the BFS levels.
-    Tree structure guarantees each vertex enters exactly one frontier, so
-    no visited-set bookkeeping beyond the parent array is needed.
-    """
-    n = view.n
-    parent = np.zeros(n + 1, dtype=np.int64)
-    frontier = np.array([root], dtype=np.int64)
-    levels = [frontier]
-    while True:
-        hosts, neigh = _gather_neighbors(view.indptr, view.indices, frontier)
-        keep = neigh != parent[hosts]
-        children = neigh[keep]
-        if children.size == 0:
-            break
-        parent[children] = hosts[keep]
-        frontier = children
-        levels.append(frontier)
-    return parent, levels
-
-
-def _gather_neighbors(
-    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All (host, neighbor) pairs for a frontier, via one CSR gather."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    hosts = np.repeat(frontier, counts)
-    # Position arithmetic: for each pair, its offset inside the host's
-    # neighbor run is a 0..count-1 ramp restarted at each host.
-    ramp = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return hosts, indices[np.repeat(starts, counts) + ramp]
+def _rooted_sizes(view: ShapeView) -> tuple[np.ndarray, np.ndarray]:
+    """Parent array and subtree sizes with the tree rooted at label 1."""
+    parent, levels = _orient_from(view, 1)
+    size = np.ones(view.n + 1, dtype=np.int64)
+    size[0] = 0
+    # Children accumulate into parents one level at a time, deepest first;
+    # add.at is required because siblings share a slot within a level.
+    for level in reversed(levels[1:]):
+        np.add.at(size, parent[level], size[level])
+    return parent, size
 
 
 def _take_extreme(

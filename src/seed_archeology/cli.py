@@ -17,6 +17,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .centrality import anti_centrality
 from .experiment import (
     VALIDATION_SUITES,
@@ -49,6 +51,7 @@ from .trees import (
     grow,
     identity_view,
     scramble,
+    _format_rows,
 )
 
 __all__ = ["main", "build_parser"]
@@ -223,8 +226,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _load_view(text: str) -> ShapeView:
-    header = text.strip().splitlines()[0] if text.strip() else ""
-    if "l=" in header:
+    if "l=" in text.lstrip().partition("\n")[0]:
         # An arrival tree: operate on it under its own labels.
         return identity_view(ArrivalTree.from_text(text))
     return ShapeView.from_text(text)
@@ -264,11 +266,10 @@ def _cmd_generate(args) -> int:
 def _cmd_centrality(args) -> int:
     view = _load_view(_read_input(args.input))
     profile = anti_centrality(view)
-    lines = ["vertex,psi,is_centroid"]
-    for v in range(1, view.n + 1):
-        flag = 1 if v in profile.centroids else 0
-        lines.append(f"{v},{int(profile.psi[v])},{flag}")
-    _emit("\n".join(lines) + "\n", args.output)
+    labels = np.arange(1, view.n + 1)
+    is_centroid = np.isin(labels, list(profile.centroids))
+    rows = _format_rows("%d,%d,%d\n", labels, profile.psi[1:], is_centroid)
+    _emit("vertex,psi,is_centroid\n" + rows, args.output)
     return 0
 
 
@@ -286,17 +287,7 @@ def _cmd_find(args) -> int:
         "urrt": find_urrt_seed,
     }[args.kind]
     estimate = finder(view, params, _resolve_rng(args))
-    lines = [str(v) for v in sorted(estimate.vertices)]
-    lines.append(
-        json.dumps(
-            {
-                "kind": estimate.kind.value,
-                "target_size": estimate.target_size,
-                "deficit": estimate.deficit,
-            }
-        )
-    )
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(estimate.to_text(), args.output)
     return 0
 
 
@@ -310,30 +301,27 @@ def _stats_report(args) -> int:
     if not args.trees:
         raise ValueError("reports need at least one tree file")
     trees = [(path, ArrivalTree.from_text(_read_input(path))) for path in args.trees]
-    lines: list[str] = []
     if args.report == "descendants":
-        lines.append("tree,k,exactly,at_least")
+        rows = ["tree,k,exactly,at_least\n"]
         for path, tree in trees:
             hist = descendant_histogram(tree)
-            for k in range(tree.n):
-                if hist.at_least[k] == 0:
-                    break
-                lines.append(
-                    f"{path},{k},{int(hist.exactly[k])},{int(hist.at_least[k])}"
-                )
+            # Rows stop before the first k that no vertex reaches.
+            k = np.arange(np.count_nonzero(hist.at_least))
+            row = path.replace("%", "%%") + ",%d,%d,%d\n"
+            rows.append(_format_rows(row, k, hist.exactly[k], hist.at_least[k]))
     elif args.report == "singletons":
-        lines.append("tree,n,singleton_parents")
+        rows = ["tree,n,singleton_parents\n"]
         for path, tree in trees:
             report = singleton_parents(tree)
-            lines.append(f"{path},{tree.n},{report.S}")
+            rows.append(f"{path},{tree.n},{report.S}\n")
     else:
         if args.l is None:
             raise ValueError("camouflage report needs --l")
-        lines.append("tree,l,singleton_parents,camouflaging")
+        rows = ["tree,l,singleton_parents,camouflaging\n"]
         for path, tree in trees:
             report = count_camouflaging(tree, args.l)
-            lines.append(f"{path},{args.l},{report.S},{report.G}")
-    _emit("\n".join(lines) + "\n", args.output)
+            rows.append(f"{path},{args.l},{report.S},{report.G}\n")
+    _emit("".join(rows), args.output)
     return 0
 
 

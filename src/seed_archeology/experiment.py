@@ -151,6 +151,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     kind = SeedKind(_take(seed_raw, "kind", str))
     if kind is SeedKind.CUSTOM:
         parents = _take(seed_raw, "parents", list)
+        if any(type(p) is not int for p in parents):  # bool is not int
+            raise ValueError(f"seed_spec.parents must be ints, got {parents}")
         stated_l = _take(seed_raw, "l", int, default=len(parents) + 1)
         if stated_l != len(parents) + 1:
             raise ValueError(
@@ -413,17 +415,7 @@ def _run_and_maybe_dump(
         stem = f"trial_{trial_index:05d}"
         (dump_dir / f"{stem}.tree").write_text(tree.to_text())
         (dump_dir / f"{stem}.perm").write_text(view.permutation_to_text())
-        lines = [str(v) for v in sorted(estimate.vertices)]
-        lines.append(
-            json.dumps(
-                {
-                    "kind": estimate.kind.value,
-                    "target_size": estimate.target_size,
-                    "deficit": estimate.deficit,
-                }
-            )
-        )
-        (dump_dir / f"{stem}.estimate").write_text("\n".join(lines) + "\n")
+        (dump_dir / f"{stem}.estimate").write_text(estimate.to_text())
     return record
 
 

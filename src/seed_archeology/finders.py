@@ -20,6 +20,7 @@ measured success rates instead.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -91,7 +92,7 @@ class FinderParams:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.jog_loh_c <= 0:
+        if not self.jog_loh_c > 0:  # also rejects NaN
             raise ValueError(f"jog_loh_c must be > 0, got {self.jog_loh_c}")
 
 
@@ -109,6 +110,17 @@ class SeedEstimate:
     target_size: int
     deficit: bool = False
     center: int | None = None
+
+    def to_text(self) -> str:
+        """Sorted labels, one per line, then a JSON line with the kind,
+        target size and deficit flag."""
+        summary = {
+            "kind": self.kind.value,
+            "target_size": self.target_size,
+            "deficit": self.deficit,
+        }
+        labels = "".join(f"{v}\n" for v in sorted(self.vertices))
+        return labels + json.dumps(summary) + "\n"
 
 
 def find_path_seed(

@@ -19,8 +19,11 @@ worker processes.
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NoReturn
 
 import numpy as np
 
@@ -174,31 +177,22 @@ class ArrivalTree:
     def to_text(self) -> str:
         """Serialize as a header line ``n=<n> l=<l>`` plus one
         ``<child> <parent>`` line per vertex 2..n in arrival order."""
-        lines = [f"n={self.n} l={self.l}"]
-        lines.extend(
-            f"{i} {int(self.parent_of[i])}" for i in range(2, self.n + 1)
-        )
-        return "\n".join(lines) + "\n"
+        children = np.arange(2, self.n + 1)
+        rows = _format_rows("%d %d\n", children, self.parent_of[2:])
+        return f"n={self.n} l={self.l}\n" + rows
 
     @classmethod
     def from_text(cls, text: str) -> "ArrivalTree":
-        header, rows = _split_header(text)
-        n = _header_int(header, "n")
+        header, n, rows = _read_rows(text)
         l = _header_int(header, "l")
-        parent_of = np.zeros(n + 1, dtype=np.int64)
-        if len(rows) != n - 1:
+        off = np.flatnonzero(rows[:, 0] != np.arange(2, n + 1))
+        if off.size:
+            k = int(off[0])
             raise ValueError(
-                f"expected {n - 1} edge lines for n={n}, got {len(rows)}"
+                f"line {k + 2}: expected child {k + 2} (arrival order), "
+                f"got {int(rows[k, 0])}"
             )
-        for k, row in enumerate(rows):
-            child, parent = _edge_fields(row, k + 2)
-            if child != k + 2:
-                raise ValueError(
-                    f"line {k + 2}: expected child {k + 2} (arrival order), "
-                    f"got {child}"
-                )
-            parent_of[child] = parent
-        return cls(n, l, parent_of)
+        return cls(n, l, np.concatenate(([0, 0], rows[:, 1])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,12 +242,15 @@ class ShapeView:
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list, smaller label first, sorted."""
-        out = []
-        for v in range(1, self.n + 1):
-            for u in self.neighbors(v):
-                if v < u:
-                    out.append((v, int(u)))
-        return out
+        us, vs = self._edge_columns()
+        return list(zip(us.tolist(), vs.tolist()))
+
+    def _edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        # CSR order is (owner, neighbor) ascending, so keeping each edge at
+        # its smaller endpoint leaves the pairs already sorted.
+        owner = np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+        mask = owner < self.indices
+        return owner[mask], self.indices[mask]
 
     # -- scoring-harness surface; not for finders ------------------------
 
@@ -270,10 +267,9 @@ class ShapeView:
         """Serialize the hidden relabeling as ``<shape> <arrival>`` lines."""
         if self._arrival_of is None:
             raise ValueError("this view has no recorded relabeling")
-        lines = [
-            f"{v} {int(self._arrival_of[v])}" for v in range(1, self.n + 1)
-        ]
-        return "\n".join(lines) + "\n"
+        return _format_rows(
+            "%d %d\n", np.arange(1, self.n + 1), self._arrival_of[1:]
+        )
 
     # -- serialization ---------------------------------------------------
 
@@ -283,30 +279,26 @@ class ShapeView:
         Edges are written smaller label first and sorted, never in arrival
         order, so the file carries no trace of the hidden relabeling.
         """
-        lines = [f"n={self.n}"]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + "\n"
+        return f"n={self.n}\n" + _format_rows("%d %d\n", *self._edge_columns())
 
     @classmethod
     def from_text(cls, text: str) -> "ShapeView":
-        header, rows = _split_header(text)
+        header, n, rows = _read_rows(text)
         if "l=" in header:
             raise ValueError(
                 "found an l= field: this is an arrival tree, not a shape view"
             )
-        n = _header_int(header, "n")
-        if len(rows) != n - 1:
-            raise ValueError(
-                f"expected {n - 1} edge lines for n={n}, got {len(rows)}"
-            )
-        us = np.empty(n - 1, dtype=np.int64)
-        vs = np.empty(n - 1, dtype=np.int64)
-        for k, row in enumerate(rows):
-            us[k], vs[k] = _edge_fields(row, k + 2)
-        if n > 1 and (us.min() < 1 or us.max() > n or vs.min() < 1 or vs.max() > n):
+        if rows.size and (rows.min() < 1 or rows.max() > n):
             raise ValueError(f"edge endpoint out of range 1..{n}")
-        view = _view_from_edges(n, us, vs, arrival_of=None)
-        _check_connected_recursive_free(view)
+        view = _view_from_edges(n, rows[:, 0], rows[:, 1], arrival_of=None)
+        # n - 1 edges form a tree exactly when they connect all n vertices.
+        parent, _ = _orient_from(view, 1)
+        reached = 1 + int(np.count_nonzero(parent))
+        if reached != n:
+            raise ValueError(
+                f"edge list is not a connected tree: reached {reached} of "
+                f"{n} vertices from label 1"
+            )
         return view
 
 
@@ -402,37 +394,102 @@ def _view_from_edges(
     return ShapeView(n, indptr, ends_b, arrival_of)
 
 
-def _check_connected_recursive_free(view: ShapeView) -> None:
-    """Reject serialized shape input that is not a tree (cycle or forest)."""
+def _orient_from(
+    view: ShapeView, root: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Root the tree at `root` by frontier BFS.
+
+    Returns the rooted parent array (0 for the root and for every vertex
+    the walk does not reach) and the BFS levels.  A `seen` mask keeps each
+    vertex to one level, so on input with a cycle the walk still ends.
+    """
     n = view.n
-    if n == 1:
-        return
+    parent = np.zeros(n + 1, dtype=np.int64)
     seen = np.zeros(n + 1, dtype=bool)
-    seen[1] = True
-    frontier = [1]
-    count = 1
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in view.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    count += 1
-                    nxt.append(int(u))
-        frontier = nxt
-    if count != n:
-        raise ValueError(
-            f"edge list is not a connected tree: reached {count} of {n} "
-            "vertices from label 1"
-        )
+    seen[root] = True
+    frontier = np.array([root], dtype=np.int64)
+    levels = [frontier]
+    while True:
+        hosts, neigh = _gather_neighbors(view.indptr, view.indices, frontier)
+        fresh = np.flatnonzero(~seen[neigh])
+        if fresh.size == 0:
+            break
+        # Only input with a cycle or a repeated edge meets a vertex from two
+        # pairs; the pair whose position wins the scatter keeps it.
+        children = neigh[fresh]
+        parent[children] = fresh
+        fresh = fresh[parent[children] == fresh]
+        children = neigh[fresh]
+        parent[children] = hosts[fresh]
+        seen[children] = True
+        frontier = children
+        levels.append(frontier)
+    return parent, levels
 
 
-def _split_header(text: str) -> tuple[str, list[str]]:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+def _gather_neighbors(
+    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """All (host, neighbor) pairs for a frontier, via one CSR gather."""
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    hosts = np.repeat(frontier, counts)
+    # Position arithmetic: for each pair, its offset inside the host's
+    # neighbor run is a 0..count-1 ramp restarted at each host.
+    ramp = np.arange(hosts.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return hosts, indices[np.repeat(starts, counts) + ramp]
+
+
+def _format_rows(row_format: str, *columns: np.ndarray) -> str:
+    """One `row_format` line (one ``%d`` per column) per row of the
+    equal-length integer columns, formatted in a single ``%`` call."""
+    interleaved = np.column_stack(columns).ravel()
+    return (row_format * len(columns[0])) % tuple(interleaved.tolist())
+
+
+def _read_rows(text: str) -> tuple[str, int, np.ndarray]:
+    """Split tree text into its header line, the header's ``n`` and the
+    ``n - 1`` rows below it as an int64 array of shape ``(n - 1, 2)``.
+
+    Blank lines are skipped; errors number the non-blank lines from 1, the
+    header being line 1.
+    """
+    header, _, body = text.strip().partition("\n")
+    if not header:
         raise ValueError("empty tree text")
-    return lines[0], lines[1:]
+    n = _header_int(header, "n")
+    rows = np.empty((0, 2), dtype=np.int64)
+    if body:  # loadtxt warns on an empty body (header only, n = 1)
+        try:
+            rows = np.loadtxt(
+                io.StringIO(body), dtype=np.int64, ndmin=2, comments=None
+            )
+        except (ValueError, OverflowError):
+            _raise_bad_row(body)
+        if rows.shape[1] != 2:
+            _raise_bad_row(body)
+    if len(rows) != n - 1:
+        raise ValueError(
+            f"expected {n - 1} edge lines for n={n}, got {len(rows)}"
+        )
+    return header.strip(), n, rows
+
+
+def _raise_bad_row(body: str) -> NoReturn:
+    """Name the first row that is not two int64 fields (error path only)."""
+    rows = filter(None, (row.strip() for row in body.split("\n")))
+    for lineno, row in enumerate(rows, start=2):
+        fields = row.split()
+        if len(fields) != 2:
+            raise ValueError(f"line {lineno}: expected two fields, got {row!r}")
+        if not all(
+            re.fullmatch(r"[+-]?[0-9]+", f) and -(2**63) <= int(f) < 2**63
+            for f in fields
+        ):
+            raise ValueError(
+                f"line {lineno}: non-integer or out-of-range field in {row!r}"
+            )
+    raise ValueError("edge lines are not two int64 fields each")
 
 
 def _header_int(header: str, key: str) -> int:
@@ -446,13 +503,3 @@ def _header_int(header: str, key: str) -> int:
                 raise ValueError(f"header field {key}={value} must be >= 1")
             return value
     raise ValueError(f"header {header!r} lacks required field {key}=")
-
-
-def _edge_fields(row: str, lineno: int) -> tuple[int, int]:
-    parts = row.split()
-    if len(parts) != 2:
-        raise ValueError(f"line {lineno}: expected two fields, got {row!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: non-integer field in {row!r}") from exc

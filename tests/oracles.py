@@ -120,6 +120,19 @@ def all_recursive_parent_vectors(n: int):
     return itertools.product(*(range(1, i) for i in range(2, n + 1)))
 
 
+def arrival_text(parents, l: int) -> str:
+    """Arrival-tree text written one f-string line per vertex."""
+    lines = [f"n={len(parents) + 1} l={l}"]
+    lines += [f"{i + 2} {p}" for i, p in enumerate(parents)]
+    return "\n".join(lines) + "\n"
+
+
+def shape_text(n: int, edges) -> str:
+    """Shape text written one line per edge, smaller label first, sorted."""
+    pairs = sorted((min(u, w), max(u, w)) for u, w in edges)
+    return "\n".join([f"n={n}", *(f"{u} {w}" for u, w in pairs)]) + "\n"
+
+
 def children_lists(parents) -> list[list[int]]:
     """children[v] for v = 1..n given parents[i] = parent of vertex i+2."""
     n = len(parents) + 1

@@ -10,6 +10,7 @@ import pytest
 from seed_archeology.cli import main
 from seed_archeology.experiment import run_experiment, load_config
 from seed_archeology.rng import SEED_ENV_VAR
+from seed_archeology.stats import descendant_histogram
 from seed_archeology.trees import ArrivalTree, ShapeView
 
 
@@ -172,6 +173,17 @@ class TestCentrality:
             "5,4,0",
         ]
 
+    def test_both_centroids_flagged(self, capsys, tmp_path):
+        tree_file = tmp_path / "path.txt"
+        run_cli(
+            capsys,
+            "generate", "--kind", "path", "--l", "4",
+            "--output", str(tree_file),
+        )
+        code, out, _ = run_cli(capsys, "centrality", str(tree_file))
+        assert code == 0
+        assert out == "vertex,psi,is_centroid\n1,3,0\n2,2,1\n3,2,1\n4,3,0\n"
+
     def test_reads_scrambled_shape(self, capsys, tmp_path):
         shape_file = tmp_path / "shape.txt"
         run_cli(
@@ -199,6 +211,23 @@ class TestCentrality:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n=3\n1 2\n2 99999999999999999999\n",
+            "n=3 l=1\n2 1\n3 99999999999999999999\n",
+            "n=1000000000000 l=1\n",
+        ],
+        ids=["shape-int64-overflow", "arrival-int64-overflow", "huge-header"],
+    )
+    def test_malformed_text_is_a_clean_error(self, capsys, tmp_path, text):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "centrality", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +354,23 @@ class TestStats:
             f"{f},1,1,2",
             f"{f},2,1,1",
         ]
+
+    def test_descendants_report_escapes_percent_in_path(self, capsys, tmp_path):
+        text = "n=5 l=2\n2 1\n3 1\n4 2\n5 4\n"
+        f = self.write_tree(tmp_path, "100%d%%s.txt", text)
+        code, out, _ = run_cli(
+            capsys, "stats", "--report", "descendants", str(f)
+        )
+        assert code == 0
+        hist = descendant_histogram(ArrivalTree.from_text(text))
+        expected = ["tree,k,exactly,at_least"]
+        for k in range(5):
+            if hist.at_least[k] == 0:
+                break
+            expected.append(
+                f"{f},{k},{int(hist.exactly[k])},{int(hist.at_least[k])}"
+            )
+        assert out == "\n".join(expected) + "\n"
 
     def test_singletons_report_multiple_trees(self, capsys, tmp_path):
         p3 = self.write_tree(tmp_path, "p3.txt", "n=3 l=3\n2 1\n3 2\n")
@@ -501,6 +547,20 @@ class TestExperimentCommands:
         code, _, err = run_cli(capsys, "experiment", "run", str(config_path))
         assert code == 2
         assert "unknown field" in err
+
+    @pytest.mark.parametrize(
+        "parents",
+        [[None, 1], [{}, 1], [1.7, 1], ["2", 1]],
+        ids=["null", "object", "float", "string"],
+    )
+    def test_run_rejects_non_integer_parents(self, capsys, tmp_path, parents):
+        config_path = self.write_config(
+            tmp_path, seed_spec={"kind": "custom", "parents": parents}
+        )
+        code, out, err = run_cli(capsys, "experiment", "run", str(config_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: seed_spec.parents must be ints")
 
     def test_validate_suite_exit_zero(self, capsys):
         code, out, _ = run_cli(

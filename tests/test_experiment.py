@@ -348,6 +348,22 @@ class TestRunExperiment:
             assert int(fields[4]) == len(arrivals)
             assert meta["target_size"] == len(arrivals)
 
+    def test_estimate_dump_is_the_estimate_text(self, tmp_path):
+        config = make_config(
+            tmp_path,
+            seed_spec=SeedSpec.star(4),
+            finder=FinderKind.STAR,
+            params=FinderParams(l=4, gamma=0.5, epsilon=0.1),
+            trials=3,
+            n=30,
+        )
+        dump = tmp_path / "artifacts"
+        run_experiment(config, debug_dump=dump)
+        for t in range(3):
+            estimate = run_trial_artifacts(config, t).estimate
+            written = (dump / f"trial_{t:05d}.estimate").read_text()
+            assert written == estimate.to_text()
+
     def test_success_rises_with_seed_share(self, tmp_path):
         # Growing the seed from 20 to 100 vertices inside a fixed
         # n = 5000 makes path recovery strictly easier; allow 3 combined

@@ -73,6 +73,10 @@ class TestFinderParams:
         with pytest.raises(ValueError, match="jog_loh_c"):
             params(5, c=0.0)
 
+    def test_constant_not_nan(self):
+        with pytest.raises(ValueError, match="jog_loh_c"):
+            params(5, c=float("nan"))
+
 
 # ---------------------------------------------------------------------------
 # path finder

@@ -1,5 +1,7 @@
 """Seed construction, uniform-attachment growth, scrambling, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from seed_archeology.trees import (
     grow,
     identity_view,
     scramble,
+    _orient_from,
+    _view_from_edges,
 )
 
 
@@ -353,6 +357,20 @@ class TestSerialization:
         tree = make_tree(spec, spec.l + extra)
         assert ArrivalTree.from_text(tree.to_text()) == tree
 
+    @given(parents=parent_vectors(min_n=1, max_n=20))
+    def test_text_matches_line_by_line_reference(self, parents):
+        tree = build_seed(SeedSpec.custom(parents), RngHandle(0))
+        view = scramble(tree, RngHandle(1))
+        arrival_of = view._arrival_of.tolist()
+        shape_of = {a: v for v, a in enumerate(arrival_of)}
+        edges = [(shape_of[i + 2], shape_of[p]) for i, p in enumerate(parents)]
+        assert tree.to_text() == oracles.arrival_text(parents, tree.l)
+        assert view.to_text() == oracles.shape_text(tree.n, edges)
+        assert view.edges() == sorted((min(e), max(e)) for e in edges)
+        assert view.permutation_to_text() == "".join(
+            f"{v} {arrival_of[v]}\n" for v in range(1, tree.n + 1)
+        )
+
     @given(parents=parent_vectors(min_n=2, max_n=20))
     def test_shape_view_round_trip_preserves_edges(self, parents):
         view = scramble(build_seed(SeedSpec.custom(parents), RngHandle(0)), RngHandle(1))
@@ -419,6 +437,44 @@ class TestSerialization:
         with pytest.raises(ValueError, match="must be >= 1"):
             ShapeView.from_text("n=0\n")
 
+    @pytest.mark.parametrize(
+        "cls, text",
+        [
+            (ShapeView, "n=3\n1 2\n2 99999999999999999999\n"),
+            (ArrivalTree, "n=3 l=1\n2 1\n3 99999999999999999999\n"),
+        ],
+        ids=["shape", "arrival"],
+    )
+    def test_field_beyond_int64_names_the_line(self, cls, text):
+        with pytest.raises(ValueError, match="line 3: .* out-of-range"):
+            cls.from_text(text)
+
+    def test_row_count_checked_before_allocating(self):
+        # The header asks for 10^12 vertices; nothing that size may be
+        # allocated before the missing rows are noticed.
+        with pytest.raises(ValueError, match="expected 999999999999 edge"):
+            ArrivalTree.from_text("n=1000000000000 l=1\n")
+
+    def test_comment_marker_is_a_field(self):
+        with pytest.raises(ValueError, match="line 2: expected two fields"):
+            ArrivalTree.from_text("n=3 l=1\n2 1 # note\n3 1\n")
+
+    def test_shape_view_rejects_cycle_beside_isolated_vertex(self):
+        # Four edges for five vertices, but they close a 4-cycle and leave
+        # vertex 5 alone.
+        with pytest.raises(ValueError, match="reached 4 of 5"):
+            ShapeView.from_text("n=5\n1 2\n2 3\n3 4\n1 4\n")
+
+    def test_header_only_text_parses_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ArrivalTree.from_text("n=1 l=1\n").n == 1
+            assert ShapeView.from_text("n=1\n").n == 1
+
+    def test_blank_lines_and_crlf_are_tolerated(self):
+        tree = ArrivalTree.from_text("n=3 l=1\r\n\r\n2 1\r\n  \n3 2\r\n")
+        assert tree == ArrivalTree(3, 1, np.array([0, 0, 1, 2]))
+
     def test_permutation_text_round_trips_by_hand(self):
         tree = make_tree(SeedSpec.path(3), 8)
         view = scramble(tree, RngHandle(44))
@@ -430,3 +486,34 @@ class TestSerialization:
         assert sorted(mapping.values()) == list(range(1, 9))
         for v in range(1, 9):
             assert view.arrival_labels_of({v}) == {mapping[v]}
+
+
+# ---------------------------------------------------------------------------
+# orientation
+
+
+class TestOrientFrom:
+    @given(parents=parent_vectors(min_n=1, max_n=30))
+    def test_levels_partition_a_tree(self, parents):
+        tree = build_seed(SeedSpec.custom(parents), RngHandle(0))
+        parent, levels = _orient_from(identity_view(tree), 1)
+        assert np.array_equal(parent, tree.parent_of)
+        visited = np.concatenate(levels)
+        assert sorted(visited.tolist()) == list(range(1, tree.n + 1))
+
+    def test_each_vertex_enters_one_level_on_cyclic_input(self):
+        # A chain of twelve 4-cycles: without deduplication the far end of
+        # each cycle would be met twice, doubling every level after it.
+        us, vs = [], []
+        for d in range(12):
+            a, b, c, e = 3 * d + 1, 3 * d + 2, 3 * d + 3, 3 * d + 4
+            us += [a, a, b, c]
+            vs += [b, c, e, e]
+        n = len(us) + 1
+        view = _view_from_edges(n, np.array(us), np.array(vs), None)
+        parent, levels = _orient_from(view, 1)
+        visited = np.concatenate(levels)
+        assert visited.size == np.unique(visited).size == 37
+        assert 1 + np.count_nonzero(parent) == 37
+        with pytest.raises(ValueError, match="reached 37 of 49"):
+            ShapeView.from_text(view.to_text())
