@@ -112,16 +112,11 @@ def branch_sizes_at(view: ShapeView, v: int) -> dict[int, int]:
     if not 1 <= v <= view.n:
         raise ValueError(f"vertex {v} not in 1..{view.n}")
     parent, size = _rooted_sizes(view)
-    out: dict[int, int] = {}
-    for u in view.neighbors(v):
-        u = int(u)
-        if parent[u] == v:
-            out[u] = int(size[u])
-        else:
-            # u is v's parent in the rooted orientation, so its side holds
-            # everything outside v's subtree.
-            out[u] = int(view.n - size[v])
-    return out
+    nbrs = view.neighbors(v)
+    # The one neighbor that is not v's child is v's parent in the rooted
+    # orientation; its side holds everything outside v's subtree.
+    sizes = np.where(parent[nbrs] == v, size[nbrs], view.n - size[v])
+    return dict(zip(nbrs.tolist(), sizes.tolist()))
 
 
 def _rooted_sizes(view: ShapeView) -> tuple[np.ndarray, np.ndarray]:

@@ -253,8 +253,7 @@ def _cmd_generate(args) -> int:
     if args.scramble:
         view = scramble(tree, rng)
         if args.permutation_out:
-            with open(args.permutation_out, "w", encoding="utf-8") as f:
-                f.write(view.permutation_to_text())
+            _emit(view.permutation_to_text(), args.permutation_out)
         _emit(view.to_text(), args.output)
     else:
         if args.permutation_out:

@@ -155,15 +155,12 @@ def find_star_seed(
     profile = anti_centrality(view)
     (center,) = select_most_central(profile, 1, rng)
     branches = branch_sizes_at(view, center)
-    neighbors = np.fromiter(branches.keys(), dtype=np.int64, count=len(branches))
-    sizes = np.fromiter(branches.values(), dtype=np.int64, count=len(branches))
-    want = target - 1
-    if neighbors.size < want:
-        chosen = frozenset(int(u) for u in neighbors)
-        deficit = True
+    neighbors, sizes = np.array(list(branches.items()), dtype=np.int64).T
+    deficit = neighbors.size < target - 1
+    if deficit:
+        chosen = frozenset(neighbors.tolist())
     else:
-        chosen = _take_extreme(neighbors, sizes, want, rng, smallest=False)
-        deficit = False
+        chosen = _take_extreme(neighbors, sizes, target - 1, rng, smallest=False)
     return SeedEstimate(
         chosen | {center}, EstimateKind.SECOND, target, deficit, center
     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import re
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NoReturn
@@ -451,9 +452,11 @@ def _read_rows(text: str) -> tuple[str, int, np.ndarray]:
     """Split tree text into its header line, the header's ``n`` and the
     ``n - 1`` rows below it as an int64 array of shape ``(n - 1, 2)``.
 
-    Blank lines are skipped; errors number the non-blank lines from 1, the
-    header being line 1.
+    Lines end in ``\n``, ``\r\n`` or ``\r``; blank lines are skipped.
+    Errors number the non-blank lines from 1, the header being line 1.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     header, _, body = text.strip().partition("\n")
     if not header:
         raise ValueError("empty tree text")
@@ -461,13 +464,17 @@ def _read_rows(text: str) -> tuple[str, int, np.ndarray]:
     rows = np.empty((0, 2), dtype=np.int64)
     if body:  # loadtxt warns on an empty body (header only, n = 1)
         try:
-            rows = np.loadtxt(
-                io.StringIO(body), dtype=np.int64, ndmin=2, comments=None
-            )
-        except (ValueError, OverflowError):
-            _raise_bad_row(body)
+            with warnings.catch_warnings():
+                # Some NumPy versions read "1.7" as the int 1 and only warn;
+                # make that warning a parse failure.
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(
+                    io.StringIO(body), dtype=np.int64, ndmin=2, comments=None
+                )
+        except (ValueError, OverflowError, DeprecationWarning) as exc:
+            _raise_bad_row(body, str(exc))
         if rows.shape[1] != 2:
-            _raise_bad_row(body)
+            _raise_bad_row(body, f"{rows.shape[1]} fields per line")
     if len(rows) != n - 1:
         raise ValueError(
             f"expected {n - 1} edge lines for n={n}, got {len(rows)}"
@@ -475,8 +482,10 @@ def _read_rows(text: str) -> tuple[str, int, np.ndarray]:
     return header.strip(), n, rows
 
 
-def _raise_bad_row(body: str) -> NoReturn:
-    """Name the first row that is not two int64 fields (error path only)."""
+def _raise_bad_row(body: str, why: str) -> NoReturn:
+    """Name the first row that is not two int64 fields, splitting rows and
+    fields as loadtxt does (error path only); `why` is loadtxt's complaint,
+    kept should the scan find no such row."""
     rows = filter(None, (row.strip() for row in body.split("\n")))
     for lineno, row in enumerate(rows, start=2):
         fields = row.split()
@@ -489,7 +498,7 @@ def _raise_bad_row(body: str) -> NoReturn:
             raise ValueError(
                 f"line {lineno}: non-integer or out-of-range field in {row!r}"
             )
-    raise ValueError("edge lines are not two int64 fields each")
+    raise ValueError(f"edge lines are not two int64 fields each ({why})")
 
 
 def _header_int(header: str, key: str) -> int:

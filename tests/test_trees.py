@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from strategies import parent_vectors, seed_specs
 
+from seed_archeology import trees
 from seed_archeology.rng import RngHandle
 from seed_archeology.trees import (
     ArrivalTree,
@@ -419,6 +420,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="non-integer"):
             ArrivalTree.from_text("n=3 l=1\n2 1\nx 1\n")
 
+    @pytest.mark.parametrize("field", ["1.0", "1.9", "1e0"])
+    def test_decimal_field_rejected(self, field):
+        with pytest.raises(ValueError, match="line 3: non-integer"):
+            ArrivalTree.from_text(f"n=3 l=1\n2 1\n3 {field}\n")
+
+    def test_float_fallback_warning_is_an_error(self, monkeypatch):
+        # Some NumPy versions parse "1.9" as the integer 1 and only issue a
+        # DeprecationWarning; the reader must still reject the row.
+        def lenient_loadtxt(fname, dtype, **kwargs):
+            warnings.warn("Parsing an integer via a float", DeprecationWarning)
+            return np.array([[2, 1], [3, 1]], dtype=dtype)
+
+        monkeypatch.setattr(trees.np, "loadtxt", lenient_loadtxt)
+        with pytest.raises(ValueError, match="line 3: non-integer"):
+            ArrivalTree.from_text("n=3 l=1\n2 1\n3 1.9\n")
+
     def test_shape_view_rejects_arrival_header(self):
         with pytest.raises(ValueError, match="arrival tree, not a shape"):
             ShapeView.from_text("n=3 l=2\n2 1\n3 1\n")
@@ -474,6 +491,11 @@ class TestSerialization:
     def test_blank_lines_and_crlf_are_tolerated(self):
         tree = ArrivalTree.from_text("n=3 l=1\r\n\r\n2 1\r\n  \n3 2\r\n")
         assert tree == ArrivalTree(3, 1, np.array([0, 0, 1, 2]))
+
+    def test_lone_carriage_return_ends_a_line(self):
+        tree = ArrivalTree.from_text("n=3 l=1\r2 1\r3 2\r")
+        assert tree == ArrivalTree(3, 1, np.array([0, 0, 1, 2]))
+        assert ShapeView.from_text("n=3\r1 2\r2 3\r").edges() == [(1, 2), (2, 3)]
 
     def test_permutation_text_round_trips_by_hand(self):
         tree = make_tree(SeedSpec.path(3), 8)
