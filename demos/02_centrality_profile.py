@@ -50,7 +50,7 @@ def main() -> None:
         print(f"  {int(s):5d}  psi={profile.psi[s]:5d}  arrival={arrival}{tag}")
 
     print()
-    sizes = branch_sizes_at(view, centroid)
+    sizes = branch_sizes_at(profile, centroid)
     top = sorted(sizes.values(), reverse=True)[:5]
     print(f"deleting the centroid leaves {len(sizes)} branches; the largest "
           f"five have sizes {top}")

@@ -45,7 +45,6 @@ from .stats import (
     CollisionProbability,
     DescendantHistogram,
     TailCheckResult,
-    UrnState,
     count_camouflaging,
     deep_tail_check,
     deep_vertices,
@@ -53,7 +52,6 @@ from .stats import (
     mcdiarmid_tail_check,
     path_collision_frequency,
     path_collision_probability,
-    polya_draw,
     polya_fraction_samples,
     rooted_subtree_sizes,
     singleton_parents,
@@ -95,7 +93,6 @@ __all__ = [
     "TailCheckResult",
     "TrialArtifacts",
     "TrialRecord",
-    "UrnState",
     "VALIDATION_SUITES",
     "anti_centrality",
     "branch_sizes_at",
@@ -116,7 +113,6 @@ __all__ = [
     "mcdiarmid_tail_check",
     "path_collision_frequency",
     "path_collision_probability",
-    "polya_draw",
     "polya_fraction_samples",
     "rooted_subtree_sizes",
     "run_experiment",

@@ -44,6 +44,9 @@ class CentralityProfile:
     rooted_subtree_size : numpy.ndarray
         Length ``n + 1``; subtree sizes when the tree is rooted at the
         vertex with shape label 1.
+    rooted_parent : numpy.ndarray
+        Length ``n + 1``; each vertex's parent in that rooting, 0 for the
+        root.
     centroids : frozenset of int
         Vertices attaining the minimum psi; one or two, and if two they
         are adjacent.
@@ -52,10 +55,11 @@ class CentralityProfile:
     n: int
     psi: np.ndarray
     rooted_subtree_size: np.ndarray
+    rooted_parent: np.ndarray
     centroids: frozenset[int]
 
     def __post_init__(self) -> None:
-        for name in ("psi", "rooted_subtree_size"):
+        for name in ("psi", "rooted_subtree_size", "rooted_parent"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -72,7 +76,13 @@ def anti_centrality(view: ShapeView) -> CentralityProfile:
     n = view.n
     if n < 1:
         raise ValueError("cannot rank an empty tree")
-    parent, size = _rooted_sizes(view)
+    parent, levels = _orient_from(view, 1)
+    size = np.ones(n + 1, dtype=np.int64)
+    size[0] = 0
+    # Children accumulate into parents one level at a time, deepest first;
+    # add.at is required because siblings share a slot within a level.
+    for level in reversed(levels[1:]):
+        np.add.at(size, parent[level], size[level])
     non_root = np.flatnonzero(parent > 0)
     max_child = np.zeros(n + 1, dtype=np.int64)
     np.maximum.at(max_child, parent[non_root], size[non_root])
@@ -80,7 +90,7 @@ def anti_centrality(view: ShapeView) -> CentralityProfile:
     psi[0] = 0
     best = psi[1:].min()
     centroids = frozenset(int(v) for v in np.flatnonzero(psi[1:] == best) + 1)
-    return CentralityProfile(n, psi, size, centroids)
+    return CentralityProfile(n, psi, size, parent, centroids)
 
 
 def select_most_central(
@@ -103,32 +113,22 @@ def select_most_central(
     return _take_extreme(labels, profile.psi[1:], k, rng, smallest=True)
 
 
-def branch_sizes_at(view: ShapeView, v: int) -> dict[int, int]:
+def branch_sizes_at(profile: CentralityProfile, v: int) -> dict[int, int]:
     """Component sizes of the tree with `v` deleted, keyed by neighbor.
 
     For each neighbor u of v, the value is the size of the component of
-    T minus v that contains u.  Values sum to ``n - 1``.
+    T minus v that contains u.  Values sum to ``n - 1``.  Read off the
+    rooting that `profile` was computed on: each child keeps its subtree,
+    and v's parent, if v has one, keeps everything outside v's subtree.
     """
-    if not 1 <= v <= view.n:
-        raise ValueError(f"vertex {v} not in 1..{view.n}")
-    parent, size = _rooted_sizes(view)
-    nbrs = view.neighbors(v)
-    # The one neighbor that is not v's child is v's parent in the rooted
-    # orientation; its side holds everything outside v's subtree.
-    sizes = np.where(parent[nbrs] == v, size[nbrs], view.n - size[v])
-    return dict(zip(nbrs.tolist(), sizes.tolist()))
-
-
-def _rooted_sizes(view: ShapeView) -> tuple[np.ndarray, np.ndarray]:
-    """Parent array and subtree sizes with the tree rooted at label 1."""
-    parent, levels = _orient_from(view, 1)
-    size = np.ones(view.n + 1, dtype=np.int64)
-    size[0] = 0
-    # Children accumulate into parents one level at a time, deepest first;
-    # add.at is required because siblings share a slot within a level.
-    for level in reversed(levels[1:]):
-        np.add.at(size, parent[level], size[level])
-    return parent, size
+    if not 1 <= v <= profile.n:
+        raise ValueError(f"vertex {v} not in 1..{profile.n}")
+    parent, size = profile.rooted_parent, profile.rooted_subtree_size
+    children = np.flatnonzero(parent == v)
+    branches = dict(zip(children.tolist(), size[children].tolist()))
+    if parent[v]:
+        branches[int(parent[v])] = profile.n - int(size[v])
+    return branches
 
 
 def _take_extreme(

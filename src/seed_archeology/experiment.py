@@ -98,6 +98,10 @@ class ExperimentConfig:
                 f"final size n={self.n} is smaller than the seed "
                 f"({self.seed_spec.l} vertices)"
             )
+        if self.master_seed < 0:
+            raise ValueError(
+                f"master_seed must be >= 0, got {self.master_seed}"
+            )
         if self.parallelism < 1:
             raise ValueError(
                 f"parallelism must be >= 1, got {self.parallelism}"

@@ -135,7 +135,7 @@ def find_path_seed(
     target = max(1, _stable_floor((1.0 - params.gamma) * params.l))
     if target > view.n:
         raise ValueError(f"target size {target} exceeds tree size {view.n}")
-    chosen = select_most_central_of(view, target, rng)
+    chosen = select_most_central(anti_centrality(view), target, rng)
     return SeedEstimate(chosen, EstimateKind.FIRST, target)
 
 
@@ -154,7 +154,7 @@ def find_star_seed(
     target = _stable_ceil((1.0 + params.gamma) * params.l)
     profile = anti_centrality(view)
     (center,) = select_most_central(profile, 1, rng)
-    branches = branch_sizes_at(view, center)
+    branches = branch_sizes_at(profile, center)
     neighbors, sizes = np.array(list(branches.items()), dtype=np.int64).T
     deficit = neighbors.size < target - 1
     if deficit:
@@ -178,7 +178,7 @@ def find_urrt_seed(
     _require_embedded_seed(view, params.l, minimum=1)
     a = depth_scale(params.l, params.epsilon)
     target = max(1, _stable_floor(params.l / (3.0 * a)))
-    chosen = select_most_central_of(view, target, rng)
+    chosen = select_most_central(anti_centrality(view), target, rng)
     return SeedEstimate(chosen, EstimateKind.FIRST, target)
 
 
@@ -218,13 +218,6 @@ def guarantee_threshold(kind: FinderKind, params: FinderParams) -> int | bool:
 def depth_scale(l: int, epsilon: float) -> float:
     """The scale ``a = 2 ln(4 l^2 / eps) + 1`` used by the urrt finder."""
     return 2.0 * math.log(4.0 * l * l / epsilon) + 1.0
-
-
-def select_most_central_of(
-    view: ShapeView, k: int, rng: RngHandle
-) -> frozenset[int]:
-    """Convenience: centrality profile plus top-k selection in one call."""
-    return select_most_central(anti_centrality(view), k, rng)
 
 
 def _require_embedded_seed(view: ShapeView, l: int, minimum: int) -> None:

@@ -66,6 +66,12 @@ class RngHandle:
         default=None, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        for name in ("master_seed", "stream"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+
     @property
     def generator(self) -> np.random.Generator:
         """The underlying numpy generator, created lazily."""

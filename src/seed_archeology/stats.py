@@ -1,14 +1,15 @@
 """Exact counters and estimators for grown-tree statistics.
 
-Each counted quantity (child counts, singleton parents, camouflaging
-vertices) has one implementation: a loop-free function of a
+Each counted quantity (subtree sizes, child counts, singleton parents,
+camouflaging vertices) has one implementation: a loop-free function of a
 ``(trials, cols)`` parent matrix, as drawn by ``urrt_parent_matrix``,
 whose row t holds the parents of vertices 2, 3, ... of tree t.  The
-per-tree functions (``singleton_parents``, ``count_camouflaging``) call
-it on a one-row matrix cut from ``ArrivalTree.parent_of``.  The ground
-truth both are tested against is ``tests/oracles.py``, written from the
-definitions.  Closed forms (collision probabilities, tail bounds) live
-next to the estimators they calibrate.
+per-tree functions (``rooted_subtree_sizes``, ``singleton_parents``,
+``count_camouflaging``) call it on a one-row matrix cut from
+``ArrivalTree.parent_of``.  The ground truth both are tested against is
+``tests/oracles.py``, written from the definitions.  Closed forms
+(collision probabilities, tail bounds) live next to the estimators they
+calibrate.
 
 Rooted conventions: the root is vertex 1, the descendants of v are the
 vertices of v's subtree other than v itself, and a leaf is a vertex with
@@ -32,7 +33,6 @@ from .trees import ArrivalTree
 __all__ = [
     "DescendantHistogram",
     "CamouflageReport",
-    "UrnState",
     "TailCheckResult",
     "CollisionProbability",
     "rooted_subtree_sizes",
@@ -40,7 +40,6 @@ __all__ = [
     "deep_vertices",
     "singleton_parents",
     "count_camouflaging",
-    "polya_draw",
     "polya_fraction_samples",
     "path_collision_probability",
     "star_collision_probability",
@@ -106,17 +105,11 @@ class CamouflageReport:
 
 def rooted_subtree_sizes(tree: ArrivalTree) -> np.ndarray:
     """Subtree size of each vertex with the tree rooted at 1; index 0 unused."""
-    sizes = np.ones(tree.n + 1, dtype=np.int64)
-    sizes[0] = 0
-    parent = tree.parent_of
-    # parent[i] < i, so a single descending sweep settles every subtree.
-    for i in range(tree.n, 1, -1):
-        sizes[parent[i]] += sizes[i]
-    return sizes
+    return subtree_size_matrix(tree.parent_of[2:][None])[0]
 
 
 def descendant_histogram(tree: ArrivalTree) -> DescendantHistogram:
-    """Exact histogram of descendant counts via one post-order pass."""
+    """Exact histogram of descendant counts, read off the subtree sizes."""
     descendants = rooted_subtree_sizes(tree)[1:] - 1
     exactly = np.bincount(descendants, minlength=tree.n)
     at_least = exactly[::-1].cumsum()[::-1]
@@ -181,50 +174,6 @@ def _labels(hit_row: np.ndarray) -> frozenset[int]:
 # Polya urn
 
 
-@dataclass(frozen=True)
-class UrnState:
-    """Ball counts per color of a reinforcement urn."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.counts:
-            raise ValueError("urn needs at least one color")
-        if any(c < 0 for c in self.counts):
-            raise ValueError(f"negative ball count in {self.counts}")
-        if sum(self.counts) < 1:
-            raise ValueError("urn must start with at least one ball")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def fraction(self, color: int = 0) -> float:
-        return self.counts[color] / self.total
-
-
-def polya_draw(state: UrnState, draws: int, rng: RngHandle) -> UrnState:
-    """Draw `draws` times, each time duplicating the ball drawn.
-
-    A ball is picked with probability proportional to its color's count
-    and one more of the same color is added.  Returns the final state;
-    the input is unchanged.
-    """
-    if draws < 0:
-        raise ValueError(f"draws must be >= 0, got {draws}")
-    counts = list(state.counts)
-    gen = rng.generator
-    for _ in range(draws):
-        total = sum(counts)
-        u = int(gen.integers(0, total))
-        for color, c in enumerate(counts):
-            if u < c:
-                counts[color] += 1
-                break
-            u -= c
-    return UrnState(tuple(counts))
-
-
 def polya_fraction_samples(
     red: int, blue: int, draws: int, runs: int, rng: RngHandle
 ) -> np.ndarray:
@@ -235,7 +184,10 @@ def polya_fraction_samples(
     color by comparison with the current red count.  Exact integer
     arithmetic throughout.
     """
-    UrnState((red, blue))  # validate
+    if red < 0 or blue < 0:
+        raise ValueError(f"negative ball count in {(red, blue)}")
+    if red + blue < 1:
+        raise ValueError("urn must start with at least one ball")
     reds = np.full(runs, red, dtype=np.int64)
     gen = rng.generator
     for step in range(draws):
@@ -432,19 +384,26 @@ def subtree_size_matrix(parents: np.ndarray) -> np.ndarray:
 
     Input is ``(trials, n - 1)`` as from :func:`urrt_parent_matrix`;
     output is ``(trials, n + 1)`` with column v the subtree size of vertex
-    v (column 0 unused).  Columns are settled in descending vertex order,
-    mirroring :func:`rooted_subtree_sizes` row-wise.
+    v (column 0 unused).  The rows are laid end to end as one forest, row
+    t shifted by t (n + 1), and every vertex counts itself into each of
+    its ancestors: one pass per tree level, so the pass count is the
+    height of the tallest tree.
     """
     trials, cols = parents.shape
-    n = cols + 1
-    sizes = np.ones((trials, n + 1), dtype=np.int64)
-    sizes[:, 0] = 0
-    rows = np.arange(trials)
-    # One (row, column) pair per row within each step, so plain fancy
-    # indexing accumulates correctly and avoids the add.at slow path.
-    for i in range(n, 1, -1):
-        sizes[rows, parents[:, i - 2]] += sizes[:, i]
-    return sizes
+    width = cols + 2
+    # The narrowest type that holds every flat index: the gathers and
+    # add.at below move fewer bytes.  A root's parent is 0, an unused slot.
+    up = np.zeros((trials, width), dtype=np.min_scalar_type(trials * width))
+    up[:, 2:] = parents + width * np.arange(trials)[:, None]
+    ancestors = up[:, 2:].ravel()
+    up = up.ravel()
+    sizes = np.ones(trials * width, dtype=np.int64)
+    sizes[::width] = 0
+    while ancestors.size:
+        np.add.at(sizes, ancestors, 1)
+        ancestors = up[ancestors]
+        ancestors = ancestors[ancestors > 0]
+    return sizes.reshape(trials, width)
 
 
 def singleton_parent_counts(parents: np.ndarray) -> np.ndarray:

@@ -59,9 +59,11 @@ class SeedSpec:
         One of path, star, urrt, custom.
     l : int
         Seed size (vertex count), at least 1.
-    parents : tuple of int, optional
+    parents : sequence of int, optional
         For custom seeds only: ``parents[j]`` is the parent of vertex
-        ``j + 2`` and must lie in ``1..j+1`` (recursive labeling).
+        ``j + 2`` and must lie in ``1..j+1`` (recursive labeling).  Python
+        or NumPy integers, stored as a tuple of Python ints; bools and
+        floats are rejected.
 
     Notes
     -----
@@ -89,11 +91,16 @@ class SeedSpec:
                     f"entries, got {len(self.parents)}"
                 )
             for j, p in enumerate(self.parents):
+                # bool is an int subclass; NumPy's bool is not an integer.
+                integral = isinstance(p, (int, np.integer))
+                if isinstance(p, bool) or not integral:
+                    raise ValueError(f"parents[{j}] = {p!r} is not an integer")
                 if not 1 <= p <= j + 1:
                     raise ValueError(
                         f"parents[{j}] = {p} is out of range for vertex "
                         f"{j + 2}; must be in 1..{j + 1}"
                     )
+            object.__setattr__(self, "parents", tuple(map(int, self.parents)))
         elif self.parents is not None:
             raise ValueError(f"{self.kind.value} seed does not take parents")
 
@@ -111,7 +118,7 @@ class SeedSpec:
 
     @classmethod
     def custom(cls, parents) -> "SeedSpec":
-        parents = tuple(int(p) for p in parents)
+        parents = tuple(parents)
         return cls(SeedKind.CUSTOM, len(parents) + 1, parents)
 
 

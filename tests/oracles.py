@@ -4,12 +4,14 @@ Everything in here is deliberately written from the definitions, using
 none of the library's internals: anti-centrality by actually deleting
 each vertex and measuring components, descendant counts by walking
 children lists, camouflage by transcribing its three conditions
-verbatim.  Speed does not matter; independence does.
+verbatim, the Polya urn one draw and one ball at a time.  Speed does not
+matter; independence does.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -190,6 +192,51 @@ def camouflaging_labels(parents, l: int) -> set[int]:
         if window_leaf:
             out.add(v)
     return out
+
+
+@dataclass(frozen=True)
+class UrnState:
+    """Ball counts per color of a reinforcement urn."""
+
+    counts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.counts:
+            raise ValueError("urn needs at least one color")
+        if any(c < 0 for c in self.counts):
+            raise ValueError(f"negative ball count in {self.counts}")
+        if sum(self.counts) < 1:
+            raise ValueError("urn must start with at least one ball")
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
+
+    def fraction(self, color: int = 0) -> float:
+        return self.counts[color] / self.total
+
+
+def polya_draw(state: UrnState, draws: int, rng) -> UrnState:
+    """Draw `draws` times from `rng` (an ``RngHandle``), each time
+    duplicating the ball drawn.
+
+    A ball is picked with probability proportional to its color's count
+    and one more of the same color is added.  Returns the final state;
+    the input is unchanged.
+    """
+    if draws < 0:
+        raise ValueError(f"draws must be >= 0, got {draws}")
+    counts = list(state.counts)
+    gen = rng.generator
+    for _ in range(draws):
+        total = sum(counts)
+        u = int(gen.integers(0, total))
+        for color, c in enumerate(counts):
+            if u < c:
+                counts[color] += 1
+                break
+            u -= c
+    return UrnState(tuple(counts))
 
 
 def collision_probability_exact(l: int, star: bool = False) -> Fraction:

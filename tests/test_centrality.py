@@ -206,26 +206,26 @@ class TestSelectMostCentral:
 
 class TestBranchSizes:
     def test_three_path_middle(self):
-        view = view_of((1, 2))
-        assert branch_sizes_at(view, 2) == {1: 1, 3: 1}
+        profile = anti_centrality(view_of((1, 2)))
+        assert branch_sizes_at(profile, 2) == {1: 1, 3: 1}
 
     def test_three_path_end(self):
-        view = view_of((1, 2))
-        assert branch_sizes_at(view, 1) == {2: 2}
+        profile = anti_centrality(view_of((1, 2)))
+        assert branch_sizes_at(profile, 1) == {2: 2}
 
     def test_star_center(self):
-        view = view_of((1, 1, 1, 1))
-        assert branch_sizes_at(view, 1) == {2: 1, 3: 1, 4: 1, 5: 1}
+        profile = anti_centrality(view_of((1, 1, 1, 1)))
+        assert branch_sizes_at(profile, 1) == {2: 1, 3: 1, 4: 1, 5: 1}
 
     def test_vertex_range_checked(self):
         with pytest.raises(ValueError, match="not in 1..3"):
-            branch_sizes_at(view_of((1, 2)), 4)
+            branch_sizes_at(anti_centrality(view_of((1, 2))), 4)
 
     @given(parents=parent_vectors(min_n=2, max_n=40), salt=st.integers(0, 5))
     def test_sizes_sum_to_n_minus_one(self, parents, salt):
         view = view_of(parents, scramble_seed=salt)
         v = 1 + salt % view.n
-        sizes = branch_sizes_at(view, v)
+        sizes = branch_sizes_at(anti_centrality(view), v)
         assert set(sizes) == {int(u) for u in view.neighbors(v)}
         assert sum(sizes.values()) == view.n - 1
 
@@ -235,6 +235,6 @@ class TestBranchSizes:
         view = view_of(parents, scramble_seed=9)
         profile = anti_centrality(view)
         for v in range(1, view.n + 1):
-            assert max(branch_sizes_at(view, v).values()) == int(
+            assert max(branch_sizes_at(profile, v).values()) == int(
                 profile.psi[v]
             )

@@ -97,6 +97,27 @@ class TestGenerate:
         )
         assert first == second
 
+    @pytest.mark.parametrize(
+        ("flags", "env", "field"),
+        [
+            (["--master-seed", "-5"], None, "master_seed"),
+            (["--stream", "-1"], None, "stream"),
+            ([], "-5", "master_seed"),
+        ],
+        ids=["master-seed", "stream", "env"],
+    )
+    def test_negative_seed_is_a_clean_error(
+        self, capsys, monkeypatch, flags, env, field
+    ):
+        if env is not None:
+            monkeypatch.setenv(SEED_ENV_VAR, env)
+        code, out, err = run_cli(
+            capsys, "generate", "--kind", "urrt", "--l", "30", *flags
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} must be >= 0")
+
     def test_env_seed_changes_output_and_flag_wins(self, capsys, monkeypatch):
         _, default_out, _ = run_cli(
             capsys, "generate", "--kind", "urrt", "--l", "30"
@@ -521,6 +542,23 @@ class TestExperimentCommands:
         )
         run_experiment(config)
         assert (tmp_path / "trials.csv").read_bytes() == via_env
+
+    @pytest.mark.parametrize("via", ["config", "env"])
+    def test_run_rejects_negative_master_seed(
+        self, capsys, tmp_path, monkeypatch, via
+    ):
+        if via == "config":
+            config_path = self.write_config(tmp_path, master_seed=-5)
+        else:
+            config_path = self.write_config(tmp_path)
+            monkeypatch.setenv(SEED_ENV_VAR, "-5")
+        earlier = tmp_path / "trials.csv"
+        earlier.write_bytes(b"trial,earlier\r\n0,1\n")
+        code, out, err = run_cli(capsys, "experiment", "run", str(config_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: master_seed must be >= 0")
+        assert earlier.read_bytes() == b"trial,earlier\r\n0,1\n"
 
     def test_run_debug_dump(self, capsys, tmp_path):
         config_path = self.write_config(tmp_path, trials=3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from strategies import parent_vectors
 
+from seed_archeology import centrality
 from seed_archeology.centrality import anti_centrality
 from seed_archeology.finders import (
     EstimateKind,
@@ -217,6 +218,23 @@ class TestStarFinder:
     def test_seed_size_below_two_rejected(self):
         with pytest.raises(ValueError, match="seed size must be >= 2"):
             find_star_seed(bare(SeedSpec.star(3)), params(1), RngHandle(0))
+
+    def test_star_finder_roots_once(self, monkeypatch):
+        # The branch sizes are read off the profile's rooting, so the
+        # finder orients the tree once per call.
+        orient = centrality._orient_from
+        calls = []
+
+        def counting(view, root):
+            calls.append(root)
+            return orient(view, root)
+
+        monkeypatch.setattr(centrality, "_orient_from", counting)
+        rng = RngHandle(4)
+        view = scramble(grow(build_seed(SeedSpec.star(5), rng), 200, rng), rng)
+        for stream in range(3):
+            find_star_seed(view, params(5, gamma=0.2), RngHandle(0, stream))
+        assert calls == [1, 1, 1]
 
     @given(parents=parent_vectors(min_n=4, max_n=40))
     @settings(max_examples=50)

@@ -49,6 +49,17 @@ def test_algorithm_name():
     assert RngHandle(0).algorithm == "philox4x64"
 
 
+@pytest.mark.parametrize(
+    ("master_seed", "stream", "field"),
+    [(-5, 0, "master_seed"), (5, -1, "stream")],
+    ids=["master_seed", "stream"],
+)
+def test_negative_seed_or_stream_rejected(master_seed, stream, field):
+    # Checked at construction, before any draw, and named.
+    with pytest.raises(ValueError, match=f"{field} must be >= 0, got -"):
+        RngHandle(master_seed, stream)
+
+
 def test_env_seed_absent_uses_fallback(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     assert master_seed_from_env(DEFAULT_MASTER_SEED) == DEFAULT_MASTER_SEED

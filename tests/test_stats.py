@@ -14,7 +14,6 @@ from strategies import parent_vectors
 from seed_archeology.rng import RngHandle
 from seed_archeology.stats import (
     TailCheckResult,
-    UrnState,
     camouflage_counts,
     count_camouflaging,
     deep_tail_check,
@@ -23,7 +22,6 @@ from seed_archeology.stats import (
     mcdiarmid_tail_check,
     path_collision_frequency,
     path_collision_probability,
-    polya_draw,
     polya_fraction_samples,
     rooted_subtree_sizes,
     sample_camouflage_counts,
@@ -289,10 +287,21 @@ class TestBatchedSamplers:
     @pytest.mark.parametrize("n", [2, 3, 8, 17])
     def test_subtree_sizes_match_per_tree(self, n):
         parents = urrt_parent_matrix(n, 25, RngHandle(5))
+        # A path has height n - 1, so its row needs the most passes.
+        parents[0] = np.arange(1, n)
         sizes = subtree_size_matrix(parents)
         for row in range(25):
-            tree = tree_of(tuple(parents[row]))
-            assert np.array_equal(sizes[row], rooted_subtree_sizes(tree))
+            expected = oracles.descendant_counts(tuple(parents[row]))
+            assert sizes[row, 0] == 0
+            assert list(sizes[row, 1:]) == [d + 1 for d in expected]
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_subtree_sizes_of_one_row(self, n):
+        parents = urrt_parent_matrix(max(n, 2), 1, RngHandle(5))[:, : n - 1]
+        sizes = subtree_size_matrix(parents)
+        expected = oracles.descendant_counts(tuple(parents[0]))
+        assert sizes.shape == (1, n + 1)
+        assert list(sizes[0]) == [0] + [d + 1 for d in expected]
 
     @pytest.mark.parametrize("n", [2, 3, 8, 17])
     def test_singleton_counts_match_per_tree(self, n):
@@ -333,33 +342,33 @@ class TestBatchedSamplers:
 class TestPolyaUrn:
     def test_state_validation(self):
         with pytest.raises(ValueError, match="at least one color"):
-            UrnState(())
+            oracles.UrnState(())
         with pytest.raises(ValueError, match="negative"):
-            UrnState((3, -1))
+            oracles.UrnState((3, -1))
         with pytest.raises(ValueError, match="at least one ball"):
-            UrnState((0, 0))
+            oracles.UrnState((0, 0))
 
     def test_zero_draws_is_identity(self):
-        state = UrnState((2, 5))
-        assert polya_draw(state, 0, RngHandle(0)) == state
+        state = oracles.UrnState((2, 5))
+        assert oracles.polya_draw(state, 0, RngHandle(0)) == state
 
     def test_negative_draws_rejected(self):
         with pytest.raises(ValueError, match="draws"):
-            polya_draw(UrnState((1, 1)), -1, RngHandle(0))
+            oracles.polya_draw(oracles.UrnState((1, 1)), -1, RngHandle(0))
 
     def test_draws_add_one_ball_each(self):
-        state = UrnState((2, 3, 4))
-        out = polya_draw(state, 25, RngHandle(8))
+        state = oracles.UrnState((2, 3, 4))
+        out = oracles.polya_draw(state, 25, RngHandle(8))
         assert out.total == state.total + 25
         assert all(b >= a for a, b in zip(state.counts, out.counts))
 
     def test_deterministic_in_handle(self):
-        a = polya_draw(UrnState((1, 2)), 100, RngHandle(3, 1))
-        b = polya_draw(UrnState((1, 2)), 100, RngHandle(3, 1))
+        a = oracles.polya_draw(oracles.UrnState((1, 2)), 100, RngHandle(3, 1))
+        b = oracles.polya_draw(oracles.UrnState((1, 2)), 100, RngHandle(3, 1))
         assert a == b
 
     def test_fraction_helpers(self):
-        state = UrnState((3, 9))
+        state = oracles.UrnState((3, 9))
         assert state.fraction() == 0.25
         assert state.fraction(1) == 0.75
 
@@ -371,13 +380,14 @@ class TestPolyaUrn:
         assert abs(float(fractions.mean()) - 0.5) <= 3 * se
 
     def test_sequential_and_batched_agree_in_law(self):
-        # polya_draw and polya_fraction_samples implement the same
+        # oracles.polya_draw and polya_fraction_samples implement the same
         # process; their mean final fractions must agree statistically.
         runs, draws = 3000, 50
         rng = RngHandle(23)
+        start = oracles.UrnState((2, 1))
         seq = np.array(
             [
-                polya_draw(UrnState((2, 1)), draws, rng).fraction()
+                oracles.polya_draw(start, draws, rng).fraction()
                 for _ in range(runs)
             ]
         )
@@ -392,6 +402,8 @@ class TestPolyaUrn:
     def test_batched_validates_counts(self):
         with pytest.raises(ValueError, match="negative"):
             polya_fraction_samples(-1, 2, 10, 10, RngHandle(0))
+        with pytest.raises(ValueError, match="at least one ball"):
+            polya_fraction_samples(0, 0, 10, 10, RngHandle(0))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,27 @@ class TestSeedSpec:
         with pytest.raises(ValueError, match="does not take parents"):
             SeedSpec(SeedKind.PATH, 3, (1, 2))
 
+    @pytest.mark.parametrize(
+        ("make", "bad_index"),
+        [
+            (lambda: SeedSpec.custom([1.7, 1]), 0),
+            (lambda: SeedSpec(SeedKind.CUSTOM, 3, (1, 1.5)), 1),
+            (lambda: SeedSpec.custom([True, 1]), 0),
+            (lambda: SeedSpec.custom(np.array([1, 1, 2])), None),
+        ],
+        ids=["float", "direct-float", "bool", "numpy-ints"],
+    )
+    def test_custom_parents_must_be_integers(self, make, bad_index):
+        if bad_index is None:
+            spec = make()
+            assert spec.parents == (1, 1, 2)
+            assert all(type(p) is int for p in spec.parents)
+        else:
+            with pytest.raises(
+                ValueError, match=rf"parents\[{bad_index}\] = .* not an integer"
+            ):
+                make()
+
 
 # ---------------------------------------------------------------------------
 # build_seed
