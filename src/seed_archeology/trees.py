@@ -176,12 +176,6 @@ class ArrivalTree:
             raise ValueError(f"prefix size must be in 1..{self.n}, got {m}")
         return ArrivalTree(m, min(self.l, m), self.parent_of[: m + 1].copy())
 
-    def degrees(self) -> np.ndarray:
-        """Degree of each vertex; index 0 unused."""
-        deg = np.bincount(self.parent_of[2:], minlength=self.n + 1)
-        deg[2:] += 1
-        return deg
-
     def to_text(self) -> str:
         """Serialize as a header line ``n=<n> l=<l>`` plus one
         ``<child> <parent>`` line per vertex 2..n in arrival order."""
@@ -391,15 +385,32 @@ def _view_from_edges(
     vs: np.ndarray,
     arrival_of: np.ndarray | None,
 ) -> ShapeView:
-    """Build CSR adjacency (sorted neighbor lists) from n-1 undirected edges."""
-    ends_a = np.concatenate([us, vs])
-    ends_b = np.concatenate([vs, us])
-    order = np.lexsort((ends_b, ends_a))
-    ends_a = ends_a[order]
-    ends_b = ends_b[order]
+    """Build CSR adjacency (sorted neighbor lists) from n-1 undirected edges.
+
+    Each directed end ``(a, b)``, with both labels in ``0..n``, is packed
+    into one int64 key ``a * (n + 1) + b``; one in-place sort of the keys
+    orders the ends by owner, then neighbor, and ``key % (n + 1)`` reads
+    the neighbor back.  The largest key is ``(n + 1)**2 - 1``, so `n` must
+    satisfy ``(n + 1)**2 <= 2**63 - 1``.  Tree edges are unique, hence so
+    are the keys; a repeated edge gives equal keys, and equal keys decode
+    to the same pair.  So the result does not depend on the order in
+    which the sort leaves equal keys.
+
+    Raises
+    ------
+    ValueError
+        If `n` is too large for the packed key.
+    """
+    if (int(n) + 1) ** 2 > 2**63 - 1:
+        raise ValueError(f"n={n} is too large for an int64 edge key")
+    keys = np.concatenate([us, vs], dtype=np.int64)
     indptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(ends_a, minlength=n + 2)[:-1], out=indptr[1:])
-    return ShapeView(n, indptr, ends_b, arrival_of)
+    np.cumsum(np.bincount(keys, minlength=n + 2)[:-1], out=indptr[1:])
+    keys *= n + 1
+    keys += np.concatenate([vs, us])
+    keys.sort()
+    keys %= n + 1
+    return ShapeView(n, indptr, keys, arrival_of)
 
 
 def _orient_from(

@@ -29,6 +29,24 @@ def adjacency_from_edges(n: int, edges) -> list[list[int]]:
     return adj
 
 
+def csr_reference(n: int, us, vs) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of undirected edges by a two-key lexsort:
+    each end ``(a, b)`` ordered by owner `a`, then neighbor `b`."""
+    ends_a = np.concatenate([us, vs]).astype(np.int64)
+    ends_b = np.concatenate([vs, us]).astype(np.int64)
+    order = np.lexsort((ends_b, ends_a))
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(ends_a, minlength=n + 2)[:-1], out=indptr[1:])
+    return indptr, ends_b[order]
+
+
+def arrival_degrees(tree) -> np.ndarray:
+    """Degree of each vertex of an arrival tree; index 0 unused."""
+    deg = np.bincount(tree.parent_of[2:], minlength=tree.n + 1)
+    deg[2:] += 1
+    return deg
+
+
 def brute_force_psi(n: int, edges) -> list[int]:
     """Anti-centrality by deletion: for every vertex, remove it and take
     the largest remaining component, via one BFS per neighbor.  O(n^2)."""

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -118,7 +118,7 @@ class TestBuildSeed:
     def test_single_vertex_seed(self):
         tree = build_seed(SeedSpec.urrt(1), RngHandle(0))
         assert tree.n == 1
-        assert tree.degrees()[1] == 0
+        assert oracles.arrival_degrees(tree)[1] == 0
 
     def test_path_and_star_ignore_rng_state(self):
         rng = RngHandle(3)
@@ -248,16 +248,16 @@ class TestArrivalTree:
 
     def test_degrees_on_a_path(self):
         tree = build_seed(SeedSpec.path(4), RngHandle(0))
-        assert list(tree.degrees()[1:]) == [1, 2, 2, 1]
+        assert list(oracles.arrival_degrees(tree)[1:]) == [1, 2, 2, 1]
 
     def test_degrees_on_a_star(self):
         tree = build_seed(SeedSpec.star(5), RngHandle(0))
-        assert list(tree.degrees()[1:]) == [4, 1, 1, 1, 1]
+        assert list(oracles.arrival_degrees(tree)[1:]) == [4, 1, 1, 1, 1]
 
     @given(parents=parent_vectors(min_n=2, max_n=20))
     def test_degrees_sum_to_twice_the_edges(self, parents):
         tree = build_seed(SeedSpec.custom(parents), RngHandle(0))
-        assert int(tree.degrees().sum()) == 2 * (tree.n - 1)
+        assert int(oracles.arrival_degrees(tree).sum()) == 2 * (tree.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,7 @@ class TestScramble:
     def test_degree_multiset_preserved(self, parents):
         tree = build_seed(SeedSpec.custom(parents), RngHandle(0))
         view = scramble(tree, RngHandle(3))
-        tree_degrees = sorted(int(d) for d in tree.degrees()[1:])
+        tree_degrees = sorted(int(d) for d in oracles.arrival_degrees(tree)[1:])
         view_degrees = sorted(view.degree(v) for v in range(1, view.n + 1))
         assert tree_degrees == view_degrees
 
@@ -358,6 +358,51 @@ class TestScramble:
             for i in range(2, tree.n + 1)
         }
         assert set(view.edges()) == tree_edges
+
+
+# ---------------------------------------------------------------------------
+# CSR build
+
+
+def assert_csr_equal(view: ShapeView, expected) -> None:
+    indptr, indices = expected
+    assert view.indptr.dtype == view.indices.dtype == np.int64
+    assert view.indptr.tobytes() == indptr.tobytes()
+    assert view.indices.tobytes() == indices.tobytes()
+
+
+class TestCsrBuild:
+    @given(parents=parent_vectors(min_n=1, max_n=30))
+    @example(parents=())
+    @example(parents=(1,))
+    def test_every_build_matches_the_lexsort_oracle(self, parents):
+        tree = build_seed(SeedSpec.custom(parents), RngHandle(0))
+        n = tree.n
+        children = np.arange(2, n + 1)
+        assert_csr_equal(
+            identity_view(tree),
+            oracles.csr_reference(n, children, tree.parent_of[children]),
+        )
+        view = scramble(tree, RngHandle(6))
+        shape_of = np.zeros(n + 1, dtype=np.int64)
+        shape_of[view._arrival_of[1:]] = np.arange(1, n + 1)
+        expected = oracles.csr_reference(
+            n, shape_of[children], shape_of[tree.parent_of[children]]
+        )
+        assert_csr_equal(view, expected)
+        assert_csr_equal(ShapeView.from_text(view.to_text()), expected)
+
+    def test_repeated_edge_keeps_both_ends(self):
+        us, vs = np.array([2, 3, 2]), np.array([1, 1, 1])
+        view = _view_from_edges(3, us, vs, None)
+        assert_csr_equal(view, oracles.csr_reference(3, us, vs))
+        assert view.neighbors(1).tolist() == [2, 2, 3]
+
+    def test_packed_key_range_guarded(self):
+        # (n + 1)**2 overflows int64 here; the check comes before any
+        # array of length n is allocated.
+        with pytest.raises(ValueError, match="too large for an int64"):
+            _view_from_edges(2**32, np.array([2]), np.array([1]), None)
 
 
 # ---------------------------------------------------------------------------
