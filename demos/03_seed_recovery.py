@@ -22,7 +22,7 @@ from seed_archeology import (
     FinderKind,
     FinderParams,
     SeedSpec,
-    run_trial,
+    run_trial_artifacts,
 )
 
 SETUPS = [
@@ -58,7 +58,7 @@ def main() -> None:
         first = second = out_size = 0
         started = time.perf_counter()
         for t in range(args.trials):
-            record = run_trial(config, t)
+            record = run_trial_artifacts(config, t).record
             first += record.success_first
             second += record.success_second
             out_size = record.output_size

@@ -23,7 +23,6 @@ from .experiment import (
     config_from_dict,
     load_config,
     run_experiment,
-    run_trial,
     run_trial_artifacts,
     validate_formulas,
     wilson_interval,
@@ -116,7 +115,6 @@ __all__ = [
     "polya_fraction_samples",
     "rooted_subtree_sizes",
     "run_experiment",
-    "run_trial",
     "run_trial_artifacts",
     "scramble",
     "select_most_central",

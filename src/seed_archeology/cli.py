@@ -56,15 +56,6 @@ from .trees import (
 
 __all__ = ["main", "build_parser"]
 
-_SUITE_DEFAULT_TRIALS = {
-    "descendants": 100_000,
-    "singletons": 100_000,
-    "camouflage": 10_000,
-    "polya": 100_000,
-    "tails": 100_000,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -86,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=["path", "star", "urrt", "custom"],
+        choices=[kind.value for kind in SeedKind],
         help="seed family",
     )
     p.add_argument("--l", type=int, help="seed size (required unless custom)")
@@ -120,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find", help="run a seed finder on a shape")
     p.add_argument("input", help="shape file ('-' for stdin)")
     p.add_argument(
-        "--kind", required=True, choices=["path", "star", "urrt"]
+        "--kind", required=True, choices=[kind.value for kind in FinderKind]
     )
     p.add_argument("--l", type=int, required=True, help="seed size to look for")
     p.add_argument("--gamma", type=float, required=True, help="slack in (0,1)")
@@ -377,12 +368,7 @@ def _cmd_experiment_run(args) -> int:
 
 
 def _cmd_experiment_validate(args) -> int:
-    trials = (
-        args.trials
-        if args.trials is not None
-        else _SUITE_DEFAULT_TRIALS[args.suite]
-    )
-    report = validate_formulas(args.suite, trials, _resolve_rng(args))
+    report = validate_formulas(args.suite, args.trials, _resolve_rng(args))
     _emit(json.dumps(report, indent=2) + "\n", args.output)
     return 0 if report["passed"] else 1
 

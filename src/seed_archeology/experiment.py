@@ -7,10 +7,9 @@ per trial plus an aggregate :class:`Summary`.
 
 Determinism contract: trial t draws every random choice from stream t of
 the master seed, so (config, master_seed) fixes every CSV byte at any
-parallelism level.  One consequence: the ``elapsed_ns`` CSV column is
-always written as 0, because wall-clock times are never byte-stable;
-measured timings stay on the in-memory records and in the summary's wall
-time, which is diagnostic output, not part of the deterministic artifact.
+parallelism level.  Wall-clock time is never byte-stable, so it stays
+out of the CSV; the summary's wall time is diagnostic output, not part of
+the deterministic artifact.
 
 :func:`validate_formulas` runs the batched statistical checks (descendant
 histograms, singleton parents, camouflage counts, urn moments, tail
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -41,7 +41,16 @@ from .finders import (
     find_urrt_seed,
 )
 from .rng import DEFAULT_MASTER_SEED, RngHandle, master_seed_from_env
-from .trees import ArrivalTree, SeedKind, SeedSpec, ShapeView, build_seed, grow, scramble
+from .trees import (
+    ArrivalTree,
+    SeedKind,
+    SeedSpec,
+    ShapeView,
+    _format_rows,
+    build_seed,
+    grow,
+    scramble,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -53,7 +62,6 @@ __all__ = [
     "VALIDATION_SUITES",
     "load_config",
     "config_from_dict",
-    "run_trial",
     "run_trial_artifacts",
     "TrialArtifacts",
     "run_experiment",
@@ -63,8 +71,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-CSV_HEADER = "trial,success_first,success_second,overlap,output_size,deficit,elapsed_ns"
-VALIDATION_SUITES = ("descendants", "singletons", "camouflage", "polya", "tails")
 
 #: 95% normal quantile used by the Wilson interval.
 _Z95 = 1.959963984540054
@@ -220,9 +226,8 @@ def _reject_unknown(d: dict, where: str) -> None:
         raise ValueError(f"unknown field(s) in {where}: {sorted(d)}")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of one grow-scramble-find-score trial.
+class TrialRecord(NamedTuple):
+    """Outcome of one grow-scramble-find-score trial; one CSV row.
 
     `overlap` is the size of the intersection between the finder output
     (mapped back to arrival labels) and the true seed {1..l}.  The success
@@ -237,16 +242,11 @@ class TrialRecord:
     overlap: int
     output_size: int
     deficit: bool
-    elapsed_ns: int
 
-    def csv_row(self) -> str:
-        # elapsed_ns is forced to 0 in the canonical artifact; see the
-        # module docstring for why.
-        return (
-            f"{self.trial},{int(self.success_first)},"
-            f"{int(self.success_second)},{self.overlap},{self.output_size},"
-            f"{int(self.deficit)},0"
-        )
+
+#: The trial CSV's columns are the record's fields, in order.
+CSV_HEADER = ",".join(TrialRecord._fields)
+_CSV_ROW = ",".join(["%d"] * len(TrialRecord._fields)) + "\n"
 
 
 class TrialArtifacts(NamedTuple):
@@ -258,21 +258,16 @@ class TrialArtifacts(NamedTuple):
     estimate: SeedEstimate
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Run one trial end to end; deterministic in (master_seed, trial_index)."""
-    return run_trial_artifacts(config, trial_index).record
-
-
 def run_trial_artifacts(
     config: ExperimentConfig, trial_index: int
 ) -> TrialArtifacts:
-    """Like :func:`run_trial` but keep the tree, view, and raw estimate.
+    """Run one trial end to end; deterministic in (master_seed, trial_index).
 
-    Useful when a caller needs more than the CSV record, such as checking
-    which arrival label the star finder picked as its center.
+    Returns the scored record together with the tree, view, and raw
+    estimate, for callers that need more than the CSV row, such as
+    checking which arrival label the star finder picked as its center.
     """
     rng = RngHandle(config.master_seed, trial_index)
-    started = time.perf_counter_ns()
     tree = grow(build_seed(config.seed_spec, rng), config.n, rng)
     view = scramble(tree, rng)
     try:
@@ -289,7 +284,6 @@ def run_trial_artifacts(
         overlap=overlap,
         output_size=len(arrivals),
         deficit=estimate.deficit,
-        elapsed_ns=time.perf_counter_ns() - started,
     )
     return TrialArtifacts(record, tree, view, estimate)
 
@@ -362,9 +356,10 @@ def run_experiment(
     """Execute every trial, write the CSV, and return the Summary.
 
     The output path is opened before any trial runs so an unwritable
-    destination fails fast.  Trials are distributed over
-    ``config.parallelism`` worker processes; results are folded in trial
-    order, so the CSV is byte-identical at any parallelism level.
+    destination fails fast.  Trials are distributed over at most
+    ``config.parallelism`` worker processes, and never more than there are
+    trials or CPUs; results are folded in trial order, so the CSV is
+    byte-identical at any parallelism level.
 
     With `debug_dump`, the serialized arrival tree, hidden permutation,
     and finder output of every trial are written into that directory so
@@ -378,32 +373,31 @@ def run_experiment(
         dump_dir = Path(debug_dump)
         dump_dir.mkdir(parents=True, exist_ok=True)
 
+    workers = min(config.parallelism, config.trials, os.cpu_count() or 1)
     started = time.perf_counter()
-    if config.parallelism == 1 or config.trials == 1:
-        records = []
-        for t in range(config.trials):
-            records.append(_run_and_maybe_dump(config, t, dump_dir))
+    if workers == 1:
+        records = [
+            _run_and_maybe_dump(config, t, dump_dir)
+            for t in range(config.trials)
+        ]
     else:
         worker = partial(_run_and_maybe_dump, config, dump_dir=dump_dir)
-        chunk = max(1, config.trials // (config.parallelism * 4))
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        chunk = max(1, config.trials // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(
                 pool.map(worker, range(config.trials), chunksize=chunk)
             )
     wall = time.perf_counter() - started
 
+    # One row per trial, one column per TrialRecord field.
+    table = np.array(records, dtype=np.int64)
     with open(out_path, "a", encoding="utf-8") as f:
-        for record in records:
-            f.write(record.csv_row() + "\n")
+        f.write(_format_rows(_CSV_ROW, *table.T))
 
-    success_first = np.array([r.success_first for r in records], dtype=float)
-    success_second = np.array([r.success_second for r in records], dtype=float)
-    deficit = np.array([r.deficit for r in records], dtype=float)
-    overlap = np.array([r.overlap for r in records], dtype=float)
-    output_size = np.array([r.output_size for r in records], dtype=float)
+    _, first, second, overlap, output_size, deficit = table.T
     metrics = {
-        "success_first": _proportion_metric(success_first),
-        "success_second": _proportion_metric(success_second),
+        "success_first": _proportion_metric(first),
+        "success_second": _proportion_metric(second),
         "deficit": _proportion_metric(deficit),
         "overlap": _mean_metric(overlap),
         "output_size": _mean_metric(output_size),
@@ -427,20 +421,24 @@ def _run_and_maybe_dump(
 # formula validation suites
 
 
-def validate_formulas(suite: str, trials: int, rng: RngHandle) -> dict:
+def validate_formulas(suite: str, trials: int | None, rng: RngHandle) -> dict:
     """Monte Carlo checks of the exact formulas; see VALIDATION_SUITES.
 
     Each sub-check reports ``{name, empirical, theoretical, se, passed}``
-    and the overall verdict is their conjunction.  At least 10^3 trials
-    are required for the 3-SE assertions to mean anything.
+    and the overall verdict is their conjunction.  `trials` None runs the
+    suite's default count.  At least 10^3 trials are required for the
+    3-SE assertions to mean anything.
     """
-    if suite not in VALIDATION_SUITES:
+    if suite not in _SUITES:
         raise ValueError(
             f"unknown suite {suite!r}; expected one of {VALIDATION_SUITES}"
         )
+    runner, default_trials = _SUITES[suite]
+    if trials is None:
+        trials = default_trials
     if trials < 1000:
         raise ValueError(f"need trials >= 1000 for 3 SE checks, got {trials}")
-    checks = _SUITE_RUNNERS[suite](trials, rng)
+    checks = runner(trials, rng)
     return {
         "suite": suite,
         "trials": trials,
@@ -560,10 +558,12 @@ def _tails_suite(trials: int, rng: RngHandle) -> list[dict]:
     return checks
 
 
-_SUITE_RUNNERS = {
-    "descendants": _descendants_suite,
-    "singletons": _singletons_suite,
-    "camouflage": _camouflage_suite,
-    "polya": _polya_suite,
-    "tails": _tails_suite,
+#: Each suite's runner and its default trial count.
+_SUITES = {
+    "descendants": (_descendants_suite, 100_000),
+    "singletons": (_singletons_suite, 100_000),
+    "camouflage": (_camouflage_suite, 10_000),
+    "polya": (_polya_suite, 100_000),
+    "tails": (_tails_suite, 100_000),
 }
+VALIDATION_SUITES = tuple(_SUITES)

@@ -18,8 +18,6 @@ import numpy as np
 
 __all__ = ["RngHandle", "DEFAULT_MASTER_SEED", "SEED_ENV_VAR", "master_seed_from_env"]
 
-ALGORITHM = "philox4x64"
-
 #: Master seed used when neither the caller nor the environment supplies one.
 DEFAULT_MASTER_SEED = 112358
 
@@ -56,8 +54,8 @@ class RngHandle:
     Notes
     -----
     The handle is stateful (draws advance the stream) and must not be shared
-    across workers.  Derive per-trial handles with :meth:`derive` instead of
-    passing one handle around.
+    across workers.  Build one handle per trial, ``RngHandle(master_seed,
+    trial)``, instead of passing one handle around.
     """
 
     master_seed: int
@@ -81,11 +79,3 @@ class RngHandle:
             )
             self._generator = np.random.Generator(np.random.Philox(seq))
         return self._generator
-
-    def derive(self, stream: int) -> "RngHandle":
-        """Return a fresh handle on `stream` under the same master seed."""
-        return RngHandle(self.master_seed, stream)
-
-    @property
-    def algorithm(self) -> str:
-        return ALGORITHM

@@ -232,16 +232,6 @@ class ShapeView:
             perm.setflags(write=False)
             object.__setattr__(self, "_arrival_of", perm)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} not in 1..{self.n}")
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} not in 1..{self.n}")
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list, smaller label first, sorted."""
         us, vs = self._edge_columns()
@@ -459,11 +449,21 @@ def _gather_neighbors(
     return hosts, indices[np.repeat(starts, counts) + ramp]
 
 
+#: Rows per ``%`` call in :func:`_format_rows`.
+_FORMAT_SLICE_ROWS = 65_536
+
+
 def _format_rows(row_format: str, *columns: np.ndarray) -> str:
     """One `row_format` line (one ``%d`` per column) per row of the
-    equal-length integer columns, formatted in a single ``%`` call."""
-    interleaved = np.column_stack(columns).ravel()
-    return (row_format * len(columns[0])) % tuple(interleaved.tolist())
+    equal-length integer columns.  Each slice of `_FORMAT_SLICE_ROWS` rows
+    is formatted in one ``%`` call, so only that slice's fields are Python
+    ints at once."""
+    table = np.column_stack(columns)
+    parts = []
+    for start in range(0, len(table), _FORMAT_SLICE_ROWS):
+        rows = table[start : start + _FORMAT_SLICE_ROWS]
+        parts.append((row_format * len(rows)) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def _read_rows(text: str) -> tuple[str, int, np.ndarray]:

@@ -40,6 +40,12 @@ def csr_reference(n: int, us, vs) -> tuple[np.ndarray, np.ndarray]:
     return indptr, ends_b[order]
 
 
+def csr_neighbors(view, v: int) -> list[int]:
+    """The neighbor run of vertex `v`, read straight off a view's CSR
+    arrays (``indices[indptr[v]:indptr[v + 1]]``)."""
+    return view.indices[view.indptr[v] : view.indptr[v + 1]].tolist()
+
+
 def arrival_degrees(tree) -> np.ndarray:
     """Degree of each vertex of an arrival tree; index 0 unused."""
     deg = np.bincount(tree.parent_of[2:], minlength=tree.n + 1)

@@ -62,7 +62,7 @@ class TestAntiCentrality:
         view = view_of((1, 2, 3, 4, 5))
         profile = anti_centrality(view)
         assert profile.centroids == {3, 4}
-        assert 4 in [int(u) for u in view.neighbors(3)]
+        assert 4 in oracles.csr_neighbors(view, 3)
 
     def test_caterpillar_by_hand(self):
         # Path 1-2-3 with two extra leaves on vertex 3: deleting 3 leaves
@@ -97,7 +97,7 @@ class TestAntiCentrality:
         profile = anti_centrality(view)
         n = view.n
         for v in range(1, n + 1):
-            if view.degree(v) == 1:
+            if len(oracles.csr_neighbors(view, v)) == 1:
                 assert profile.psi[v] == n - 1
 
     @given(parents=parent_vectors(min_n=1, max_n=60))
@@ -115,7 +115,7 @@ class TestAntiCentrality:
         assert len(profile.centroids) in (1, 2)
         if len(profile.centroids) == 2:
             a, b = sorted(profile.centroids)
-            assert b in [int(u) for u in view.neighbors(a)]
+            assert b in oracles.csr_neighbors(view, a)
 
     @given(parents=parent_vectors(min_n=2, max_n=40))
     def test_invariant_under_relabeling(self, parents):
@@ -226,7 +226,7 @@ class TestBranchSizes:
         view = view_of(parents, scramble_seed=salt)
         v = 1 + salt % view.n
         sizes = branch_sizes_at(anti_centrality(view), v)
-        assert set(sizes) == {int(u) for u in view.neighbors(v)}
+        assert set(sizes) == set(oracles.csr_neighbors(view, v))
         assert sum(sizes.values()) == view.n - 1
 
     @given(parents=parent_vectors(min_n=2, max_n=30))

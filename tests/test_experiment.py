@@ -2,10 +2,13 @@
 
 import json
 import math
+from concurrent.futures import Executor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from seed_archeology import experiment
 from seed_archeology.experiment import (
     CSV_HEADER,
     SCHEMA_VERSION,
@@ -14,7 +17,6 @@ from seed_archeology.experiment import (
     config_from_dict,
     load_config,
     run_experiment,
-    run_trial,
     run_trial_artifacts,
     validate_formulas,
     wilson_interval,
@@ -164,16 +166,10 @@ class TestConfig:
 
 class TestRunTrial:
     def test_deterministic(self, tmp_path):
-        # elapsed_ns is wall clock and may not repeat; every scored field
-        # and the canonical CSV row must.
         config = make_config(tmp_path)
-        a = run_trial(config, 3)
-        b = run_trial(config, 3)
-        assert a.csv_row() == b.csv_row()
-        assert (a.overlap, a.output_size, a.deficit) == (
-            b.overlap,
-            b.output_size,
-            b.deficit,
+        assert (
+            run_trial_artifacts(config, 3).record
+            == run_trial_artifacts(config, 3).record
         )
 
     def test_bare_seed_always_first_kind_success(self, tmp_path):
@@ -181,7 +177,7 @@ class TestRunTrial:
         # it; and with target < l containment of the seed must fail.
         config = make_config(tmp_path, n=8)
         for t in range(5):
-            record = run_trial(config, t)
+            record = run_trial_artifacts(config, t).record
             assert record.success_first
             assert record.output_size == 4  # floor(0.5 * 8)
             assert record.overlap == 4
@@ -195,7 +191,7 @@ class TestRunTrial:
             finder=FinderKind.STAR,
             params=FinderParams(l=5, gamma=0.2, epsilon=0.1),
         )
-        record = run_trial(config, 0)
+        record = run_trial_artifacts(config, 0).record
         assert record.deficit
         assert record.output_size == 5
         assert record.success_second
@@ -203,14 +199,12 @@ class TestRunTrial:
     def test_record_invariants(self, tmp_path):
         config = make_config(tmp_path, n=40)
         for t in range(8):
-            record = run_trial(config, t)
+            record = run_trial_artifacts(config, t).record
             assert 0 <= record.overlap <= min(8, record.output_size)
             assert record.success_first == (
                 record.overlap == record.output_size
             )
             assert record.success_second == (record.overlap == 8)
-            assert record.elapsed_ns > 0
-            assert record.csv_row().endswith(",0")
 
     def test_artifacts_expose_scoring_inputs(self, tmp_path):
         config = make_config(tmp_path)
@@ -221,11 +215,17 @@ class TestRunTrial:
         assert sum(1 for a in arrivals if a <= 8) == record.overlap
 
     def test_csv_row_layout(self, tmp_path):
-        record = run_trial(make_config(tmp_path), 4)
-        fields = record.csv_row().split(",")
-        assert len(fields) == len(CSV_HEADER.split(","))
-        assert fields[0] == "4"
-        assert fields[-1] == "0"
+        config = make_config(tmp_path, trials=5)
+        run_experiment(config)
+        header, *rows = (tmp_path / "trials.csv").read_text().splitlines()
+        assert header == (
+            "trial,success_first,success_second,overlap,output_size,deficit"
+        )
+        r = run_trial_artifacts(config, 4).record
+        assert rows[4] == (
+            f"4,{int(r.success_first)},{int(r.success_second)},"
+            f"{r.overlap},{r.output_size},{int(r.deficit)}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,8 @@ class TestRunExperiment:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 13
         for t, line in enumerate(lines[1:]):
-            assert line == run_trial(config, t).csv_row()
+            record = run_trial_artifacts(config, t).record
+            assert line == ",".join(str(int(field)) for field in record)
         assert summary.trials == 12
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -264,6 +265,39 @@ class TestRunExperiment:
         run_experiment(parallel)
         assert (tmp_path / "serial.csv").read_bytes() == (
             tmp_path / "parallel.csv"
+        ).read_bytes()
+
+    def test_worker_count_bounded_by_trials_and_cpus(
+        self, tmp_path, monkeypatch
+    ):
+        # A fake pool records the worker count and maps in this process,
+        # so no worker is ever started.
+        asked = []
+
+        class SerialPool(Executor):
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+        bounded = make_config(
+            tmp_path,
+            trials=3,
+            parallelism=10**6,
+            output_path=str(tmp_path / "bounded.csv"),
+        )
+        run_experiment(replace(bounded, trials=9))
+        run_experiment(bounded)
+        assert asked == [4, 3]
+        serial = replace(
+            bounded, parallelism=1, output_path=str(tmp_path / "serial.csv")
+        )
+        run_experiment(serial)
+        assert (tmp_path / "bounded.csv").read_bytes() == (
+            tmp_path / "serial.csv"
         ).read_bytes()
 
     def test_unwritable_output_fails_before_any_trial(self, tmp_path):

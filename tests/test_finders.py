@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from strategies import parent_vectors
 
 from seed_archeology import centrality
@@ -246,9 +247,7 @@ class TestStarFinder:
             assert len(est.vertices) < est.target_size
         else:
             assert len(est.vertices) == est.target_size
-        neighborhood = {est.center} | {
-            int(u) for u in view.neighbors(est.center)
-        }
+        neighborhood = {est.center, *oracles.csr_neighbors(view, est.center)}
         assert est.vertices <= neighborhood
 
 

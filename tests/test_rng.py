@@ -29,24 +29,9 @@ def test_different_master_seeds_differ():
     assert not np.array_equal(a, b)
 
 
-def test_derive_switches_stream_only():
-    handle = RngHandle(99, 0)
-    derived = handle.derive(5)
-    assert derived.master_seed == 99
-    assert derived.stream == 5
-    direct = RngHandle(99, 5).generator.integers(0, 1 << 30, size=4)
-    assert np.array_equal(
-        derived.generator.integers(0, 1 << 30, size=4), direct
-    )
-
-
 def test_generator_is_cached():
     handle = RngHandle(5, 0)
     assert handle.generator is handle.generator
-
-
-def test_algorithm_name():
-    assert RngHandle(0).algorithm == "philox4x64"
 
 
 @pytest.mark.parametrize(
