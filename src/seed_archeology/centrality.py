@@ -3,9 +3,10 @@
 For a tree T and vertex v, ``psi(v)`` is the size of the largest component
 of T with v removed.  Small values are central: the minimizers are the
 (at most two, adjacent) centroids.  All routines here run in O(n) using a
-two-pass rerooting over CSR adjacency: orient the tree away from the
-vertex with shape label 1, accumulate subtree sizes level by level, then
-read off ``psi(v) = max(largest child subtree, n - subtree(v))``.  The
+two-pass rerooting: take the view's rooting at shape label 1
+(:attr:`~seed_archeology.trees.ShapeView.rooting`), accumulate subtree
+sizes level by level, then read off
+``psi(v) = max(largest child subtree, n - subtree(v))``.  The
 result does not depend on the reference label (the n - subtree term is 0
 at the root itself).
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngHandle
-from .trees import ShapeView, _orient_from
+from .trees import ShapeView
 
 __all__ = [
     "CentralityProfile",
@@ -71,19 +72,20 @@ def anti_centrality(view: ShapeView) -> CentralityProfile:
     Raises
     ------
     ValueError
-        If the view is empty.
+        If the view is empty or its edges do not form a tree.
     """
     n = view.n
     if n < 1:
         raise ValueError("cannot rank an empty tree")
-    parent, levels = _orient_from(view, 1)
+    parent, order, bounds = view.rooting
     size = np.ones(n + 1, dtype=np.int64)
     size[0] = 0
     # Children accumulate into parents one level at a time, deepest first;
     # add.at is required because siblings share a slot within a level.
-    for level in reversed(levels[1:]):
+    for d in range(len(bounds) - 2, 0, -1):
+        level = order[bounds[d] : bounds[d + 1]]
         np.add.at(size, parent[level], size[level])
-    non_root = np.flatnonzero(parent > 0)
+    non_root = order[1:]
     max_child = np.zeros(n + 1, dtype=np.int64)
     np.maximum.at(max_child, parent[non_root], size[non_root])
     psi = np.maximum(max_child, n - size)

@@ -297,22 +297,33 @@ def _stats_report(args) -> int:
             hist = descendant_histogram(tree)
             # Rows stop before the first k that no vertex reaches.
             k = np.arange(np.count_nonzero(hist.at_least))
-            row = path.replace("%", "%%") + ",%d,%d,%d\n"
+            row = _csv_field(path).replace("%", "%%") + ",%d,%d,%d\n"
             rows.append(_format_rows(row, k, hist.exactly[k], hist.at_least[k]))
     elif args.report == "singletons":
         rows = ["tree,n,singleton_parents\n"]
         for path, tree in trees:
             report = singleton_parents(tree)
-            rows.append(f"{path},{tree.n},{report.S}\n")
+            rows.append(f"{_csv_field(path)},{tree.n},{report.S}\n")
     else:
         if args.l is None:
             raise ValueError("camouflage report needs --l")
         rows = ["tree,l,singleton_parents,camouflaging\n"]
         for path, tree in trees:
             report = count_camouflaging(tree, args.l)
-            rows.append(f"{path},{args.l},{report.S},{report.G}\n")
+            rows.append(
+                f"{_csv_field(path)},{args.l},{report.S},{report.G}\n"
+            )
     _emit("".join(rows), args.output)
     return 0
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, with inner quotes doubled, when it
+    holds a comma, a quote, CR or LF (the rule of Python's `csv` module);
+    otherwise unchanged."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _stats_check(args) -> int:

@@ -188,6 +188,8 @@ def polya_fraction_samples(
         raise ValueError(f"negative ball count in {(red, blue)}")
     if red + blue < 1:
         raise ValueError("urn must start with at least one ball")
+    if draws < 0:
+        raise ValueError(f"draws must be >= 0, got {draws}")
     reds = np.full(runs, red, dtype=np.int64)
     gen = rng.generator
     for step in range(draws):
@@ -365,9 +367,7 @@ def urrt_parent_matrix(n: int, trials: int, rng: RngHandle) -> np.ndarray:
         raise ValueError(f"need n >= 2, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    return rng.generator.integers(
-        1, np.arange(2, n + 1), size=(trials, n - 1), dtype=np.int64
-    )
+    return _grown_parent_matrix(1, n, trials, rng)
 
 
 def _grown_parent_matrix(

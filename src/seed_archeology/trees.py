@@ -24,7 +24,8 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NoReturn
+from functools import cached_property
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -215,6 +216,8 @@ class ShapeView:
     indptr, indices : numpy.ndarray
         CSR adjacency over 1-based labels: the neighbors of ``v`` are
         ``indices[indptr[v]:indptr[v + 1]]``, ascending.
+    rooting : Rooting
+        The tree rooted at label 1 (see :attr:`rooting`).
     """
 
     n: int
@@ -243,6 +246,28 @@ class ShapeView:
         owner = np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
         mask = owner < self.indices
         return owner[mask], self.indices[mask]
+
+    @cached_property
+    def rooting(self) -> "Rooting":
+        """The tree rooted at label 1, computed on first use.
+
+        Every finder ranks vertices through this one orientation, and
+        reading it is also the check that the view is a tree: ``n - 1``
+        edges form a tree exactly when they connect all ``n`` vertices.
+
+        Raises
+        ------
+        ValueError
+            If the walk from label 1 does not reach every vertex.
+        """
+        rooting = _orient_from(self, 1)
+        reached = rooting.order.size
+        if reached != self.n:
+            raise ValueError(
+                f"edge list is not a connected tree: reached {reached} of "
+                f"{self.n} vertices from label 1"
+            )
+        return rooting
 
     # -- scoring-harness surface; not for finders ------------------------
 
@@ -283,15 +308,30 @@ class ShapeView:
         if rows.size and (rows.min() < 1 or rows.max() > n):
             raise ValueError(f"edge endpoint out of range 1..{n}")
         view = _view_from_edges(n, rows[:, 0], rows[:, 1], arrival_of=None)
-        # n - 1 edges form a tree exactly when they connect all n vertices.
-        parent, _ = _orient_from(view, 1)
-        reached = 1 + int(np.count_nonzero(parent))
-        if reached != n:
-            raise ValueError(
-                f"edge list is not a connected tree: reached {reached} of "
-                f"{n} vertices from label 1"
-            )
+        view.rooting  # raises unless the edges form a tree
         return view
+
+
+class Rooting(NamedTuple):
+    """A tree oriented away from its root by breadth-first search.
+
+    Attributes
+    ----------
+    parent : numpy.ndarray
+        Length ``n + 1``; each vertex's parent, 0 for the root (and, on a
+        walk that stops short, for every vertex it did not reach).
+    order : numpy.ndarray
+        The reached vertices in BFS order, the root first.
+    bounds : numpy.ndarray
+        Level offsets into `order`: level d is
+        ``order[bounds[d]:bounds[d + 1]]``, level 0 being the root.
+
+    All three arrays are read-only.
+    """
+
+    parent: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
 
 
 def build_seed(spec: SeedSpec, rng: RngHandle) -> ArrivalTree:
@@ -403,21 +443,21 @@ def _view_from_edges(
     return ShapeView(n, indptr, keys, arrival_of)
 
 
-def _orient_from(
-    view: ShapeView, root: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def _orient_from(view: ShapeView, root: int) -> Rooting:
     """Root the tree at `root` by frontier BFS.
 
-    Returns the rooted parent array (0 for the root and for every vertex
-    the walk does not reach) and the BFS levels.  A `seen` mask keeps each
-    vertex to one level, so on input with a cycle the walk still ends.
+    Each level is written into `order` as it is found.  A `seen` mask
+    keeps each vertex to one level, so on input with a cycle the walk
+    still ends; label 0 is no vertex and is never entered.
     """
     n = view.n
     parent = np.zeros(n + 1, dtype=np.int64)
     seen = np.zeros(n + 1, dtype=bool)
-    seen[root] = True
-    frontier = np.array([root], dtype=np.int64)
-    levels = [frontier]
+    seen[[0, root]] = True
+    order = np.empty(n, dtype=np.int64)
+    order[0] = root
+    bounds = [0, 1]
+    frontier = order[:1]
     while True:
         hosts, neigh = _gather_neighbors(view.indptr, view.indices, frontier)
         fresh = np.flatnonzero(~seen[neigh])
@@ -432,8 +472,14 @@ def _orient_from(
         parent[children] = hosts[fresh]
         seen[children] = True
         frontier = children
-        levels.append(frontier)
-    return parent, levels
+        order[bounds[-1] : bounds[-1] + children.size] = children
+        bounds.append(bounds[-1] + children.size)
+    rooting = Rooting(
+        parent, order[: bounds[-1]], np.array(bounds, dtype=np.int64)
+    )
+    for arr in rooting:
+        arr.setflags(write=False)
+    return rooting
 
 
 def _gather_neighbors(

@@ -134,6 +134,12 @@ class TestAntiCentrality:
         # Rooted at label 1: subtree sizes by hand.
         assert list(profile.rooted_subtree_size[1:]) == [6, 3, 2, 1, 1, 1]
 
+    def test_profile_shares_the_view_rooting(self):
+        view = view_of((1, 1, 2, 2, 3), scramble_seed=5)
+        first, second = anti_centrality(view), anti_centrality(view)
+        assert first.rooted_parent is second.rooted_parent
+        assert first.rooted_parent is view.rooting.parent
+
     def test_profile_arrays_read_only(self):
         profile = anti_centrality(view_of((1, 2)))
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """The command-line surface, in-process plus subprocess smoke tests."""
 
+import csv
 import io
 import json
 import subprocess
@@ -425,6 +426,41 @@ class TestStats:
         assert code == 2
         assert "--l" in err
 
+    @pytest.mark.parametrize("name", ["a,b.txt", 'q"x.txt'])
+    @pytest.mark.parametrize(
+        "report, header",
+        [
+            ("descendants", ["tree", "k", "exactly", "at_least"]),
+            ("singletons", ["tree", "n", "singleton_parents"]),
+            ("camouflage", ["tree", "l", "singleton_parents", "camouflaging"]),
+        ],
+    )
+    def test_report_quotes_path_as_one_csv_field(
+        self, capsys, tmp_path, monkeypatch, name, report, header
+    ):
+        monkeypatch.chdir(tmp_path)
+        self.write_tree(tmp_path, name, "n=6 l=3\n2 1\n3 2\n4 1\n5 3\n6 1\n")
+        code, out, _ = run_cli(
+            capsys, "stats", "--report", report, "--l", "3", name
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert rows[0] == header
+        assert len(rows) > 1
+        for row in rows[1:]:
+            assert len(row) == len(header)
+            assert row[0] == name
+        # Written byte for byte as the csv module writes those rows.
+        rewritten = io.StringIO()
+        csv.writer(rewritten, lineterminator="\n").writerows(rows)
+        assert out == rewritten.getvalue()
+
+    def test_report_keeps_plain_path_unquoted(self, capsys, tmp_path):
+        f = self.write_tree(tmp_path, "plain 1;2.txt", "n=3 l=3\n2 1\n3 2\n")
+        code, out, _ = run_cli(capsys, "stats", "--report", "singletons", str(f))
+        assert code == 0
+        assert out.splitlines()[1] == f"{f},3,1"
+
     def test_report_requires_trees(self, capsys):
         code, _, err = run_cli(capsys, "stats", "--report", "singletons")
         assert code == 2
@@ -453,6 +489,18 @@ class TestStats:
         assert code == 2
         assert err.startswith("error:")
         assert "at least 2 runs" in err
+
+    @pytest.mark.parametrize("draws", [-1, -10])
+    def test_polya_check_rejects_negative_draws(self, capsys, draws):
+        code, out, err = run_cli(
+            capsys,
+            "stats", "--check", "polya",
+            "--draws", str(draws), "--trials", "1000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "draws must be >= 0" in err
 
     def test_mcdiarmid_check(self, capsys):
         code, out, _ = run_cli(

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from strategies import parent_vectors
 
-from seed_archeology import centrality
+from seed_archeology import trees
 from seed_archeology.centrality import anti_centrality
 from seed_archeology.finders import (
     EstimateKind,
@@ -221,21 +224,22 @@ class TestStarFinder:
             find_star_seed(bare(SeedSpec.star(3)), params(1), RngHandle(0))
 
     def test_star_finder_roots_once(self, monkeypatch):
-        # The branch sizes are read off the profile's rooting, so the
-        # finder orients the tree once per call.
-        orient = centrality._orient_from
+        # The view roots itself once, while being read, and every later
+        # anti_centrality and branch_sizes_at reads that rooting.
+        orient = trees._orient_from
         calls = []
 
         def counting(view, root):
             calls.append(root)
             return orient(view, root)
 
-        monkeypatch.setattr(centrality, "_orient_from", counting)
+        monkeypatch.setattr(trees, "_orient_from", counting)
         rng = RngHandle(4)
-        view = scramble(grow(build_seed(SeedSpec.star(5), rng), 200, rng), rng)
+        tree = grow(build_seed(SeedSpec.star(5), rng), 200, rng)
+        view = ShapeView.from_text(scramble(tree, rng).to_text())
         for stream in range(3):
             find_star_seed(view, params(5, gamma=0.2), RngHandle(0, stream))
-        assert calls == [1, 1, 1]
+        assert calls == [1]
 
     @given(parents=parent_vectors(min_n=4, max_n=40))
     @settings(max_examples=50)
@@ -392,3 +396,35 @@ class TestGuaranteeThreshold:
             params(5, gamma=min(0.99, gamma * 1.5), epsilon=epsilon),
         )
         assert easier <= base
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+
+def test_finds_a_seed_without_scipy():
+    # scipy serves only the test oracles: with it unimportable, the package
+    # still grows, scrambles and finds, and finds what it finds here.
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["scipy"] = None
+        import seed_archeology as sa
+        rng = sa.RngHandle(4)
+        tree = sa.grow(sa.build_seed(sa.SeedSpec.star(5), rng), 200, rng)
+        view = sa.scramble(tree, rng)
+        params = sa.FinderParams(l=5, gamma=0.2, epsilon=0.1)
+        print(sa.find_star_seed(view, params, sa.RngHandle(0)).to_text(), end="")
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    rng = RngHandle(4)
+    view = scramble(grow(build_seed(SeedSpec.star(5), rng), 200, rng), rng)
+    expected = find_star_seed(view, params(5, gamma=0.2), RngHandle(0))
+    assert result.stdout == expected.to_text()

@@ -405,6 +405,11 @@ class TestPolyaUrn:
         with pytest.raises(ValueError, match="at least one ball"):
             polya_fraction_samples(0, 0, 10, 10, RngHandle(0))
 
+    @pytest.mark.parametrize("draws", [-1, -10])
+    def test_batched_rejects_negative_draws(self, draws):
+        with pytest.raises(ValueError, match="draws must be >= 0"):
+            polya_fraction_samples(3, 7, draws, 10, RngHandle(0))
+
 
 # ---------------------------------------------------------------------------
 # collision probabilities

@@ -11,6 +11,7 @@ import oracles
 from strategies import parent_vectors, seed_specs
 
 from seed_archeology import trees
+from seed_archeology.centrality import anti_centrality
 from seed_archeology.rng import RngHandle
 from seed_archeology.trees import (
     ArrivalTree,
@@ -581,28 +582,64 @@ class TestSerialization:
 # orientation
 
 
+def chain_of_four_cycles() -> ShapeView:
+    """Twelve 4-cycles joined end to end: 48 edges on 49 labels, of which
+    the walk from label 1 reaches 37 and the last 12 are isolated."""
+    us, vs = [], []
+    for d in range(12):
+        a, b, c, e = 3 * d + 1, 3 * d + 2, 3 * d + 3, 3 * d + 4
+        us += [a, a, b, c]
+        vs += [b, c, e, e]
+    n = len(us) + 1
+    return _view_from_edges(n, np.array(us), np.array(vs), None)
+
+
 class TestOrientFrom:
     @given(parents=parent_vectors(min_n=1, max_n=30))
     def test_levels_partition_a_tree(self, parents):
         tree = build_seed(SeedSpec.custom(parents), RngHandle(0))
-        parent, levels = _orient_from(identity_view(tree), 1)
+        parent, order, bounds = _orient_from(identity_view(tree), 1)
         assert np.array_equal(parent, tree.parent_of)
-        visited = np.concatenate(levels)
-        assert sorted(visited.tolist()) == list(range(1, tree.n + 1))
+        assert sorted(order.tolist()) == list(range(1, tree.n + 1))
+        assert bounds[0] == 0 and bounds[1] == 1 and bounds[-1] == tree.n
+        # Each level hangs off the level above it.
+        for d in range(1, len(bounds) - 1):
+            level = order[bounds[d] : bounds[d + 1]]
+            above = order[bounds[d - 1] : bounds[d]]
+            assert level.size and np.isin(parent[level], above).all()
 
     def test_each_vertex_enters_one_level_on_cyclic_input(self):
-        # A chain of twelve 4-cycles: without deduplication the far end of
-        # each cycle would be met twice, doubling every level after it.
-        us, vs = [], []
-        for d in range(12):
-            a, b, c, e = 3 * d + 1, 3 * d + 2, 3 * d + 3, 3 * d + 4
-            us += [a, a, b, c]
-            vs += [b, c, e, e]
-        n = len(us) + 1
-        view = _view_from_edges(n, np.array(us), np.array(vs), None)
-        parent, levels = _orient_from(view, 1)
-        visited = np.concatenate(levels)
-        assert visited.size == np.unique(visited).size == 37
+        # Without deduplication the far end of each cycle would be met
+        # twice, doubling every level after it.
+        view = chain_of_four_cycles()
+        parent, order, _ = _orient_from(view, 1)
+        assert order.size == np.unique(order).size == 37
         assert 1 + np.count_nonzero(parent) == 37
         with pytest.raises(ValueError, match="reached 37 of 49"):
             ShapeView.from_text(view.to_text())
+
+    def test_label_zero_is_never_entered(self):
+        # An edge to the unused slot 0 must not stand in for vertex 3.
+        view = _view_from_edges(3, np.array([1, 2]), np.array([2, 0]), None)
+        parent, order, _ = _orient_from(view, 1)
+        assert order.tolist() == [1, 2]
+        assert parent[0] == 0
+        with pytest.raises(ValueError, match="reached 2 of 3"):
+            view.rooting
+
+    def test_anti_centrality_rejects_a_non_tree(self):
+        with pytest.raises(ValueError, match="reached 37 of 49"):
+            anti_centrality(chain_of_four_cycles())
+
+    def test_rooting_is_cached_and_read_only(self):
+        view = scramble(make_tree(SeedSpec.urrt(5), 60), RngHandle(3))
+        rooting = view.rooting
+        assert view.rooting is rooting
+        assert np.array_equal(
+            rooting.parent, _orient_from(view, 1).parent
+        )
+        for arr in rooting:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+        with pytest.raises(AttributeError):
+            view.rooting = rooting
