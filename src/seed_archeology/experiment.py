@@ -467,26 +467,33 @@ def _descendants_suite(trials: int, rng: RngHandle) -> list[dict]:
     # qualifies.  Sampling at any other size misses by dozens of SEs.
     n_arrivals = 50
     size = n_arrivals + 1
-    parents = stats.urrt_parent_matrix(size, trials, rng)
-    sizes = stats.subtree_size_matrix(parents)
-    descendants = sizes[:, 1:] - 1
-    checks = []
-    for k in (0, 1, 2, 3):
-        counts = (descendants == k).sum(axis=1)
-        exact = size / ((k + 1) * (k + 2))
-        checks.append(_three_se_check(f"L[{k}] n={n_arrivals}", counts, exact))
-    for k in (1, 2, 4, 8):
-        counts = (descendants[:, 1:] >= k).sum(axis=1)
-        exact = size / (k + 1) - 1.0
-        checks.append(_three_se_check(f"M[{k}] n={n_arrivals}", counts, exact))
-    return checks
+    exactly, at_least = (0, 1, 2, 3), (1, 2, 4, 8)
+
+    def counts(parents: np.ndarray) -> np.ndarray:
+        # One row per tree: its L[k] counts, then its M[k] counts.
+        descendants = stats.subtree_size_matrix(parents)[:, 1:] - 1
+        return np.stack(
+            [(descendants == k).sum(axis=1) for k in exactly]
+            + [(descendants[:, 1:] >= k).sum(axis=1) for k in at_least],
+            axis=1,
+        )
+
+    table = stats._per_block(1, size, trials, rng, counts)
+    exact = [size / ((k + 1) * (k + 2)) for k in exactly]
+    exact += [size / (k + 1) - 1.0 for k in at_least]
+    names = [f"L[{k}]" for k in exactly] + [f"M[{k}]" for k in at_least]
+    return [
+        _three_se_check(f"{name} n={n_arrivals}", column, value)
+        for name, column, value in zip(names, table.T, exact)
+    ]
 
 
 def _singletons_suite(trials: int, rng: RngHandle) -> list[dict]:
     checks = []
     for l in (3, 6, 12, 60):
-        parents = stats.urrt_parent_matrix(l, trials, rng)
-        counts = stats.singleton_parent_counts(parents)
+        counts = stats._per_block(
+            1, l, trials, rng, stats.singleton_parent_counts
+        )
         checks.append(_three_se_check(f"S l={l}", counts, l / 6.0))
     return checks
 

@@ -11,6 +11,14 @@ per-tree functions (``rooted_subtree_sizes``, ``singleton_parents``,
 (collision probabilities, tail bounds) live next to the estimators they
 calibrate.
 
+The Monte Carlo drivers (the collision frequencies, the tail checks,
+``sample_camouflage_counts`` and the validation suites) never hold the
+whole ``(trials, cols)`` matrix: ``_per_block`` draws it in row blocks
+of about ``_BLOCK_ENTRIES`` entries, reduces each block to one value per
+trial, and concatenates those.  Drawn in order, the blocks are the rows
+of the one-shot matrix, so results do not depend on the block size, and
+``trials`` adds to memory only through the reduced values.
+
 Rooted conventions: the root is vertex 1, the descendants of v are the
 vertices of v's subtree other than v itself, and a leaf is a vertex with
 no children.  A vertex is a *singleton* when it is its parent's only
@@ -23,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -173,6 +181,8 @@ def _labels(hit_row: np.ndarray) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Polya urn
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
 
 def polya_fraction_samples(
     red: int, blue: int, draws: int, runs: int, rng: RngHandle
@@ -182,7 +192,9 @@ def polya_fraction_samples(
     Vectorized across runs: the total count is deterministic (it grows by
     one per draw), so one uniform integer per (run, draw) decides the
     color by comparison with the current red count.  Exact integer
-    arithmetic throughout.
+    arithmetic throughout, in int32: numpy draws a bound below 2^31 with
+    the same 32-bit bounded draw at either width, so int32 gives the
+    int64 values and moves half the bytes.
     """
     if red < 0 or blue < 0:
         raise ValueError(f"negative ball count in {(red, blue)}")
@@ -190,11 +202,16 @@ def polya_fraction_samples(
         raise ValueError("urn must start with at least one ball")
     if draws < 0:
         raise ValueError(f"draws must be >= 0, got {draws}")
-    reds = np.full(runs, red, dtype=np.int64)
+    if red + blue + draws > _INT32_MAX:
+        raise ValueError(
+            f"red + blue + draws must be <= {_INT32_MAX}, "
+            f"got {red + blue + draws}"
+        )
+    reds = np.full(runs, red, dtype=np.int32)
     gen = rng.generator
     for step in range(draws):
         total = red + blue + step
-        u = gen.integers(0, total, size=runs)
+        u = gen.integers(0, total, size=runs, dtype=np.int32)
         reds += u < reds
     return reds / (red + blue + draws)
 
@@ -257,17 +274,17 @@ def path_collision_frequency(l: int, trials: int, rng: RngHandle) -> float:
     """
     if l < 2:
         raise ValueError(f"need a path seed of size >= 2, got {l}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     n = 2 * l
     base = np.ones(n + 1, dtype=np.int64)
     base[0] = 0
     base[2:l] = 2  # path interior
-    parents = _grown_parent_matrix(l, n, trials, rng)
-    deg = base + _child_counts(parents, n)
-    is_path = deg[:, 1:].max(axis=1) <= 2
-    at_end = (deg[:, 1] == 1) | (deg[:, l] == 1)
-    return float(np.mean(is_path & at_end))
+
+    def collided(parents: np.ndarray) -> np.ndarray:
+        deg = base + _child_counts(parents, n)
+        is_path = deg[:, 1:].max(axis=1) <= 2
+        return is_path & ((deg[:, 1] == 1) | (deg[:, l] == 1))
+
+    return float(np.mean(_per_block(l, n, trials, rng, collided)))
 
 
 def star_collision_frequency(l: int, trials: int, rng: RngHandle) -> float:
@@ -278,12 +295,11 @@ def star_collision_frequency(l: int, trials: int, rng: RngHandle) -> float:
     """
     if l < 2:
         raise ValueError(f"need a star seed of size >= 2, got {l}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    n = 2 * l
-    parents = _grown_parent_matrix(l, n, trials, rng)
-    center_hits = (parents == 1).sum(axis=1)
-    return float(np.mean(center_hits == l))
+
+    def collided(parents: np.ndarray) -> np.ndarray:
+        return (parents == 1).sum(axis=1) == l
+
+    return float(np.mean(_per_block(l, 2 * l, trials, rng, collided)))
 
 
 @dataclass(frozen=True)
@@ -345,9 +361,11 @@ def deep_tail_check(
         raise ValueError(f"k must be >= 1, got {k}")
     if n <= k + 1:
         raise ValueError(f"need n > k + 1, got n={n}, k={k}")
-    parents = urrt_parent_matrix(n + 1, trials, rng)
-    sizes = subtree_size_matrix(parents)
-    deep = (sizes[:, 2:] - 1 >= k).sum(axis=1)
+
+    def deep_count(parents: np.ndarray) -> np.ndarray:
+        return (subtree_size_matrix(parents)[:, 2:] - 1 >= k).sum(axis=1)
+
+    deep = _per_block(1, n + 1, trials, rng, deep_count)
     empirical = float(np.mean(deep <= n / (3.0 * k)))
     bound = k * math.exp(-n / (32.0 * k * k))
     return TailCheckResult(empirical, bound, trials)
@@ -376,6 +394,37 @@ def _grown_parent_matrix(
     """Uniform-attachment parents for arrivals l+1..n, one row per trial."""
     return rng.generator.integers(
         1, np.arange(l + 1, n + 1), size=(trials, n - l), dtype=np.int64
+    )
+
+
+#: Entries per row block of ``_per_block``: 2 MB of int64 parents, so a
+#: block and the kernel temporaries built from it stay in the low MBs.
+_BLOCK_ENTRIES = 2**18
+
+
+def _per_block(
+    l: int,
+    n: int,
+    trials: int,
+    rng: RngHandle,
+    reduce: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """``reduce`` applied to the ``(trials, n - l)`` parent matrix, by rows.
+
+    The matrix of :func:`_grown_parent_matrix` is drawn in consecutive
+    blocks of whole rows and ``reduce`` maps each block to an array with
+    one leading entry per row; the results are concatenated.  A
+    row-major draw with broadcast bounds takes the stream one entry at a
+    time, so the blocks are exactly the rows of the one-shot draw.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rows = max(1, _BLOCK_ENTRIES // (n - l))
+    return np.concatenate(
+        [
+            reduce(_grown_parent_matrix(l, n, min(rows, trials - start), rng))
+            for start in range(0, trials, rows)
+        ]
     )
 
 
@@ -433,10 +482,9 @@ def sample_camouflage_counts(
     """G over `trials` trees grown to 2l from urrt seeds of size l."""
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    parents = urrt_parent_matrix(2 * l, trials, rng)
-    return camouflage_counts(parents, l)
+    return _per_block(
+        1, 2 * l, trials, rng, lambda parents: camouflage_counts(parents, l)
+    )
 
 
 def _child_counts(parents: np.ndarray, n: int) -> np.ndarray:

@@ -532,6 +532,22 @@ class TestStats:
         assert code == 2
         assert "--n and --k" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("deeptail", "--n", "64", "--k", "1"),
+            ("mcdiarmid", "--l", "60", "--t", "5"),
+        ],
+        ids=["deeptail", "mcdiarmid"],
+    )
+    def test_tail_checks_reject_zero_trials(self, capsys, args):
+        code, out, err = run_cli(
+            capsys, "stats", "--check", *args, "--trials", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: trials must be >= 1, got 0")
+
     def test_check_output_to_file(self, capsys, tmp_path):
         target = tmp_path / "verdict.json"
         code, out, _ = run_cli(

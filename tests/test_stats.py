@@ -1,6 +1,7 @@
 """Exact counters, urn dynamics, collision formulas, and tail checks."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from strategies import parent_vectors
 
+from seed_archeology import experiment, stats
 from seed_archeology.rng import RngHandle
 from seed_archeology.stats import (
     TailCheckResult,
@@ -336,6 +338,143 @@ class TestBatchedSamplers:
 
 
 # ---------------------------------------------------------------------------
+# row blocks: the Monte Carlo drivers against one whole matrix
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """Shrink the row blocks to `entries` entries; record each block's rows."""
+    rows: list[int] = []
+    draw = stats._grown_parent_matrix
+
+    def recording(l, n, trials, rng):
+        rows.append(trials)
+        return draw(l, n, trials, rng)
+
+    monkeypatch.setattr(stats, "_grown_parent_matrix", recording)
+
+    def shrink(entries: int) -> list[int]:
+        monkeypatch.setattr(stats, "_BLOCK_ENTRIES", entries)
+        return rows
+
+    return shrink
+
+
+def assert_seam_crossed(rows: list[int]) -> None:
+    # At least three blocks, the last one short.
+    assert len(rows) >= 3
+    assert rows[-1] < rows[0]
+
+
+class TestRowBlocks:
+    # 10 columns: blocks of 4, 4 and 3 rows; then rows wider than a block.
+    @pytest.mark.parametrize(
+        ("entries", "trials", "expected_rows"),
+        [(40, 11, [4, 4, 3]), (4, 3, [1, 1, 1])],
+    )
+    def test_blocks_are_the_one_shot_matrix(
+        self, block_rows, entries, trials, expected_rows
+    ):
+        rows = block_rows(entries)
+        blocked = stats._per_block(1, 11, trials, RngHandle(9, 2), lambda p: p)
+        assert rows == expected_rows
+        whole = stats._grown_parent_matrix(1, 11, trials, RngHandle(9, 2))
+        assert blocked.dtype == whole.dtype
+        assert blocked.tobytes() == whole.tobytes()
+
+    def test_trials_checked_before_any_draw(self, block_rows):
+        rows = block_rows(40)
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            stats._per_block(1, 11, 0, RngHandle(0), lambda p: p)
+        assert rows == []
+
+    def test_camouflage_counts(self, block_rows):
+        rows = block_rows(100)  # l=5: 9 columns, 11 rows a block
+        counts = sample_camouflage_counts(5, 50, RngHandle(7))
+        assert_seam_crossed(rows)
+        whole = urrt_parent_matrix(10, 50, RngHandle(7))
+        assert np.array_equal(counts, camouflage_counts(whole, 5))
+
+    def test_deep_tail(self, block_rows):
+        rows = block_rows(200)  # n=20: 20 columns, 10 rows a block
+        result = deep_tail_check(20, 3, 95, RngHandle(8))
+        assert_seam_crossed(rows)
+        sizes = subtree_size_matrix(urrt_parent_matrix(21, 95, RngHandle(8)))
+        deep = (sizes[:, 2:] - 1 >= 3).sum(axis=1)
+        assert result.empirical == float(np.mean(deep <= 20 / 9))
+        assert 0 < result.empirical < 1
+
+    @pytest.mark.parametrize(
+        "frequency", [path_collision_frequency, star_collision_frequency]
+    )
+    def test_collision_frequencies(self, monkeypatch, block_rows, frequency):
+        # The one-matrix value is the same driver with one block.
+        monkeypatch.setattr(stats, "_BLOCK_ENTRIES", 10**9)
+        whole = frequency(3, 510, RngHandle(6))
+        rows = block_rows(60)  # 3 columns, 20 rows a block
+        assert frequency(3, 510, RngHandle(6)) == whole
+        assert rows[0] == 510
+        assert_seam_crossed(rows[1:])
+        assert 0 < whole < 1
+
+    def test_descendants_suite(self, block_rows):
+        rows = block_rows(500)  # 50 columns, 10 rows a block
+        report = experiment._descendants_suite(25, RngHandle(3))
+        assert_seam_crossed(rows)
+        sizes = subtree_size_matrix(urrt_parent_matrix(51, 25, RngHandle(3)))
+        descendants = sizes[:, 1:] - 1
+        check = experiment._three_se_check
+        expected = [
+            check(f"L[{k}] n=50", (descendants == k).sum(1), 51 / ((k + 1) * (k + 2)))
+            for k in (0, 1, 2, 3)
+        ] + [
+            check(f"M[{k}] n=50", (descendants[:, 1:] >= k).sum(1), 51 / (k + 1) - 1)
+            for k in (1, 2, 4, 8)
+        ]
+        assert report == expected
+
+    def test_singletons_suite(self, block_rows):
+        rows = block_rows(20)  # l=3: 2 columns, 10 rows a block
+        report = experiment._singletons_suite(25, RngHandle(4))
+        assert_seam_crossed(rows[:3])
+        rng = RngHandle(4)
+        expected = [
+            experiment._three_se_check(
+                f"S l={l}",
+                singleton_parent_counts(urrt_parent_matrix(l, 25, rng)),
+                l / 6.0,
+            )
+            for l in (3, 6, 12, 60)
+        ]
+        assert report == expected
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak traced allocation of one call, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    # A whole 40000-row matrix and its temporaries peak near 145 MB for
+    # the camouflage counts and 71 MB for the deep tail.
+
+    def test_camouflage_counts(self):
+        peak = traced_peak_mb(
+            lambda: sample_camouflage_counts(60, 40_000, RngHandle(1))
+        )
+        assert peak < 16
+
+    def test_deep_tail(self):
+        peak = traced_peak_mb(lambda: deep_tail_check(64, 1, 40_000, RngHandle(2)))
+        assert peak < 16
+
+
+# ---------------------------------------------------------------------------
 # Polya urn
 
 
@@ -409,6 +548,20 @@ class TestPolyaUrn:
     def test_batched_rejects_negative_draws(self, draws):
         with pytest.raises(ValueError, match="draws must be >= 0"):
             polya_fraction_samples(3, 7, draws, 10, RngHandle(0))
+
+    def test_batched_rejects_counts_past_int32(self):
+        with pytest.raises(ValueError, match="red \\+ blue \\+ draws"):
+            polya_fraction_samples(2**31 - 10, 5, 5, 10, RngHandle(0))
+
+    def test_int32_urn_matches_int64_draws(self):
+        # Bounds below 2^31 take the same 32-bit draw at either width.
+        red, blue, draws, runs = 3, 7, 200, 500
+        gen = RngHandle(31).generator
+        reds = np.full(runs, red, dtype=np.int64)
+        for step in range(draws):
+            reds += gen.integers(0, red + blue + step, size=runs) < reds
+        batch = polya_fraction_samples(red, blue, draws, runs, RngHandle(31))
+        assert batch.tobytes() == (reds / (red + blue + draws)).tobytes()
 
 
 # ---------------------------------------------------------------------------
