@@ -52,6 +52,7 @@ from .trees import (
     identity_view,
     scramble,
     _format_rows,
+    _split_header,
 )
 
 __all__ = ["main", "build_parser"]
@@ -217,7 +218,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _load_view(text: str) -> ShapeView:
-    if "l=" in text.lstrip().partition("\n")[0]:
+    if "l=" in _split_header(text)[0]:
         # An arrival tree: operate on it under its own labels.
         return identity_view(ArrivalTree.from_text(text))
     return ShapeView.from_text(text)
@@ -258,7 +259,7 @@ def _cmd_centrality(args) -> int:
     profile = anti_centrality(view)
     labels = np.arange(1, view.n + 1)
     is_centroid = np.isin(labels, list(profile.centroids))
-    rows = _format_rows("%d,%d,%d\n", labels, profile.psi[1:], is_centroid)
+    rows = _format_rows(labels, profile.psi[1:], is_centroid, sep=",")
     _emit("vertex,psi,is_centroid\n" + rows, args.output)
     return 0
 
@@ -297,8 +298,15 @@ def _stats_report(args) -> int:
             hist = descendant_histogram(tree)
             # Rows stop before the first k that no vertex reaches.
             k = np.arange(np.count_nonzero(hist.at_least))
-            row = _csv_field(path).replace("%", "%%") + ",%d,%d,%d\n"
-            rows.append(_format_rows(row, k, hist.exactly[k], hist.at_least[k]))
+            rows.append(
+                _format_rows(
+                    k,
+                    hist.exactly[k],
+                    hist.at_least[k],
+                    sep=",",
+                    prefix=_csv_field(path) + ",",
+                )
+            )
     elif args.report == "singletons":
         rows = ["tree,n,singleton_parents\n"]
         for path, tree in trees:

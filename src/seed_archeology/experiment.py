@@ -246,7 +246,6 @@ class TrialRecord(NamedTuple):
 
 #: The trial CSV's columns are the record's fields, in order.
 CSV_HEADER = ",".join(TrialRecord._fields)
-_CSV_ROW = ",".join(["%d"] * len(TrialRecord._fields)) + "\n"
 
 
 class TrialArtifacts(NamedTuple):
@@ -392,7 +391,7 @@ def run_experiment(
     # One row per trial, one column per TrialRecord field.
     table = np.array(records, dtype=np.int64)
     with open(out_path, "a", encoding="utf-8") as f:
-        f.write(_format_rows(_CSV_ROW, *table.T))
+        f.write(_format_rows(*table.T, sep=","))
 
     _, first, second, overlap, output_size, deficit = table.T
     metrics = {

@@ -15,9 +15,10 @@ The Monte Carlo drivers (the collision frequencies, the tail checks,
 ``sample_camouflage_counts`` and the validation suites) never hold the
 whole ``(trials, cols)`` matrix: ``_per_block`` draws it in row blocks
 of about ``_BLOCK_ENTRIES`` entries, reduces each block to one value per
-trial, and concatenates those.  Drawn in order, the blocks are the rows
-of the one-shot matrix, so results do not depend on the block size, and
-``trials`` adds to memory only through the reduced values.
+trial, and writes those into one result array.  Drawn in order, the
+blocks are the rows of the one-shot matrix, so results do not depend on
+the block size, and ``trials`` adds to memory only through the reduced
+values.
 
 Rooted conventions: the root is vertex 1, the descendants of v are the
 vertices of v's subtree other than v itself, and a leaf is a vertex with
@@ -413,19 +414,22 @@ def _per_block(
 
     The matrix of :func:`_grown_parent_matrix` is drawn in consecutive
     blocks of whole rows and ``reduce`` maps each block to an array with
-    one leading entry per row; the results are concatenated.  A
+    one leading entry per row; each result is written into one array of
+    the first result's dtype, allocated after the first block.  A
     row-major draw with broadcast bounds takes the stream one entry at a
     time, so the blocks are exactly the rows of the one-shot draw.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rows = max(1, _BLOCK_ENTRIES // (n - l))
-    return np.concatenate(
-        [
-            reduce(_grown_parent_matrix(l, n, min(rows, trials - start), rng))
-            for start in range(0, trials, rows)
-        ]
-    )
+    out = None
+    for start in range(0, trials, rows):
+        parents = _grown_parent_matrix(l, n, min(rows, trials - start), rng)
+        block = reduce(parents)
+        if out is None:
+            out = np.empty((trials, *block.shape[1:]), dtype=block.dtype)
+        out[start : start + len(block)] = block
+    return out
 
 
 def subtree_size_matrix(parents: np.ndarray) -> np.ndarray:

@@ -181,8 +181,9 @@ class ArrivalTree:
         """Serialize as a header line ``n=<n> l=<l>`` plus one
         ``<child> <parent>`` line per vertex 2..n in arrival order."""
         children = np.arange(2, self.n + 1)
-        rows = _format_rows("%d %d\n", children, self.parent_of[2:])
-        return f"n={self.n} l={self.l}\n" + rows
+        return f"n={self.n} l={self.l}\n" + _format_rows(
+            children, self.parent_of[2:]
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "ArrivalTree":
@@ -284,9 +285,7 @@ class ShapeView:
         """Serialize the hidden relabeling as ``<shape> <arrival>`` lines."""
         if self._arrival_of is None:
             raise ValueError("this view has no recorded relabeling")
-        return _format_rows(
-            "%d %d\n", np.arange(1, self.n + 1), self._arrival_of[1:]
-        )
+        return _format_rows(np.arange(1, self.n + 1), self._arrival_of[1:])
 
     # -- serialization ---------------------------------------------------
 
@@ -296,7 +295,7 @@ class ShapeView:
         Edges are written smaller label first and sorted, never in arrival
         order, so the file carries no trace of the hidden relabeling.
         """
-        return f"n={self.n}\n" + _format_rows("%d %d\n", *self._edge_columns())
+        return f"n={self.n}\n" + _format_rows(*self._edge_columns())
 
     @classmethod
     def from_text(cls, text: str) -> "ShapeView":
@@ -495,21 +494,118 @@ def _gather_neighbors(
     return hosts, indices[np.repeat(starts, counts) + ramp]
 
 
-#: Rows per ``%`` call in :func:`_format_rows`.
+#: Rows per buffer in :func:`_format_rows`.
 _FORMAT_SLICE_ROWS = 65_536
 
 
-def _format_rows(row_format: str, *columns: np.ndarray) -> str:
-    """One `row_format` line (one ``%d`` per column) per row of the
-    equal-length integer columns.  Each slice of `_FORMAT_SLICE_ROWS` rows
-    is formatted in one ``%`` call, so only that slice's fields are Python
-    ints at once."""
-    table = np.column_stack(columns)
+def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The four ASCII digits of each k in 0..9999 as one uint32 word.
+
+    A word's bytes are its digits left to right in memory order, on any
+    byte order.  Three tables: every digit; leading zeros as NUL (0 is
+    ``"\\0\\0\\00"``), for the leading chunk of a number; and the same but
+    0 all NUL, for a leading chunk with more chunks after it.
+    """
+    k = np.arange(10_000)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
+    full = (digits + ord("0")).astype(np.uint8)
+    blank = np.where(digits.cumsum(axis=1) == 0, 0, full).astype(np.uint8)
+    leading = blank.copy()
+    leading[0, 3] = ord("0")
+    tables = tuple(t.view(np.uint32).ravel() for t in (full, leading, blank))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+_FULL_WORDS, _LEADING_WORDS, _BLANK_WORDS = _digit_words()
+
+
+def _words(raw: bytes, count: int) -> np.ndarray:
+    """`raw` padded with NUL to `count` uint32 words."""
+    return np.frombuffer(raw.ljust(4 * count, b"\0"), np.uint32)
+
+
+def _format_rows(
+    *columns: np.ndarray, sep: str = " ", prefix: str = ""
+) -> str:
+    """One line ``prefix + sep.join(fields) + "\\n"`` per row of the
+    equal-length integer or bool columns, each field in decimal.
+
+    Each slice of `_FORMAT_SLICE_ROWS` rows is laid out in one uint32
+    buffer, a row per line: the prefix, then per column a sign word (only
+    if the slice holds a negative value), the magnitude's base-10 000
+    chunks as four-digit words (as many as the slice's largest magnitude
+    needs), and a separator slot, which after the last column holds the
+    newline.  Leading zeros and the padding of text to whole words are
+    NUL bytes, and one ``translate`` pass deletes them.
+
+    Raises
+    ------
+    ValueError
+        If `sep` or `prefix` holds a NUL, or the columns differ in length.
+    """
+    if "\0" in sep or "\0" in prefix:
+        raise ValueError("sep and prefix must not contain NUL")
+    # surrogatepass keeps any str, a lone surrogate too, as the % operator
+    # did; a path argument that is not UTF-8 decodes to such surrogates.
+    raw_prefix = prefix.encode("utf-8", "surrogatepass")
+    raw_sep = sep.encode("utf-8", "surrogatepass")
+    head = _words(raw_prefix, -(-len(raw_prefix) // 4))
+    slot = max(1, -(-len(raw_sep) // 4))
+    seps, end = _words(raw_sep, slot), _words(b"\n", slot)
+    table = np.column_stack(columns).astype(np.int64, copy=False)
+    cols = table.shape[1]
     parts = []
     for start in range(0, len(table), _FORMAT_SLICE_ROWS):
-        rows = table[start : start + _FORMAT_SLICE_ROWS]
-        parts.append((row_format * len(rows)) % tuple(rows.ravel().tolist()))
+        part = table[start : start + _FORMAT_SLICE_ROWS]
+        rows = len(part)
+        # |v| as uint64 is right for every int64, -2**63 included.
+        mag = np.abs(part).view(np.uint64)
+        chunks = max(1, -(-len(str(int(mag.max()))) // 4))
+        signed = int(int(part.min()) < 0)
+        width = signed + chunks + slot
+        buf = np.empty((rows, head.size + cols * width), np.uint32)
+        buf[:, : head.size] = head
+        fields = buf[:, head.size :].reshape(rows, cols, width)
+        if signed:
+            fields[:, :, 0] = (part < 0) * _words(b"-", 1)
+        # Chunk i (0 the least significant) leads when no higher chunk is
+        # nonzero, i.e. when the magnitude is below 10 000**(i + 1).
+        rest = mag
+        for i in range(chunks - 1):
+            rest, chunk = np.divmod(rest, np.uint64(10_000))
+            chunk = chunk.view(np.int64)
+            leading = _BLANK_WORDS if i else _LEADING_WORDS
+            fields[:, :, signed + chunks - 1 - i] = np.where(
+                mag < 10_000 ** (i + 1), leading[chunk], _FULL_WORDS[chunk]
+            )
+        top = _BLANK_WORDS if chunks > 1 else _LEADING_WORDS
+        fields[:, :, signed] = top[rest.view(np.int64)]
+        fields[:, :, -slot:] = seps
+        fields[:, -1, -slot:] = end
+        text = buf.tobytes().translate(None, b"\0")
+        parts.append(text.decode("utf-8", "surrogatepass"))
     return "".join(parts)
+
+
+#: Leading whitespace, by the rule of ``str.strip``.
+_SPACE = re.compile(r"\s*")
+#: A character that is neither ASCII nor whitespace.  NumPy's loadtxt
+#: (2.4) reads thousands of them as digits ("\u01fe" as 462) and crashes
+#: the interpreter on some others, so none may reach it.
+_FOREIGN = re.compile(r"[^\x00-\x7f\s]")
+
+
+def _split_header(text: str) -> tuple[str, int]:
+    """The first non-blank line of `text`, stripped, and the offset just
+    past its newline (past the end of `text` if it has none).  Only the
+    header line is copied."""
+    start = _SPACE.match(text).end()
+    end = text.find("\n", start)
+    if end < 0:
+        end = len(text)
+    return text[start:end].strip(), end + 1
 
 
 def _read_rows(text: str) -> tuple[str, int, np.ndarray]:
@@ -521,19 +617,30 @@ def _read_rows(text: str) -> tuple[str, int, np.ndarray]:
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    header, _, body = text.strip().partition("\n")
+    header, body_start = _split_header(text)
     if not header:
         raise ValueError("empty tree text")
     n = _header_int(header, "n")
+    body = text[body_start:]
     rows = np.empty((0, 2), dtype=np.int64)
-    if body:  # loadtxt warns on an empty body (header only, n = 1)
+    # loadtxt warns on a body without rows (header only, n = 1); it skips
+    # lines of str.isspace whitespace, so trailing ones need no strip.
+    if body and not body.isspace():
+        if not body.isascii() and _FOREIGN.search(body):
+            _raise_bad_row(body, "a character outside ASCII")
         try:
             with warnings.catch_warnings():
                 # Some NumPy versions read "1.7" as the int 1 and only warn;
                 # make that warning a parse failure.
                 warnings.simplefilter("error", DeprecationWarning)
+                # Bytes, not a StringIO: that would hold a 4-byte-per-char
+                # copy of the body.
                 rows = np.loadtxt(
-                    io.StringIO(body), dtype=np.int64, ndmin=2, comments=None
+                    io.BytesIO(body.encode("utf-8")),
+                    dtype=np.int64,
+                    ndmin=2,
+                    comments=None,
+                    encoding="utf-8",
                 )
         except (ValueError, OverflowError, DeprecationWarning) as exc:
             _raise_bad_row(body, str(exc))
@@ -543,7 +650,11 @@ def _read_rows(text: str) -> tuple[str, int, np.ndarray]:
         raise ValueError(
             f"expected {n - 1} edge lines for n={n}, got {len(rows)}"
         )
-    return header.strip(), n, rows
+    return header, n, rows
+
+
+#: An integer field of a row or the header: ASCII digits, an optional sign.
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 def _raise_bad_row(body: str, why: str) -> NoReturn:
@@ -556,7 +667,7 @@ def _raise_bad_row(body: str, why: str) -> NoReturn:
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected two fields, got {row!r}")
         if not all(
-            re.fullmatch(r"[+-]?[0-9]+", f) and -(2**63) <= int(f) < 2**63
+            _INT_FIELD.fullmatch(f) and -(2**63) <= int(f) < 2**63
             for f in fields
         ):
             raise ValueError(
@@ -566,13 +677,20 @@ def _raise_bad_row(body: str, why: str) -> NoReturn:
 
 
 def _header_int(header: str, key: str) -> int:
-    for tok in header.split():
-        if tok.startswith(f"{key}="):
-            try:
-                value = int(tok[len(key) + 1 :])
-            except ValueError as exc:
-                raise ValueError(f"bad header field {tok!r}") from exc
-            if value < 1:
-                raise ValueError(f"header field {key}={value} must be >= 1")
-            return value
-    raise ValueError(f"header {header!r} lacks required field {key}=")
+    """The value of the one ``key=<int>`` field of `header`, at least 1."""
+    tokens = [tok for tok in header.split() if tok.startswith(f"{key}=")]
+    if not tokens:
+        raise ValueError(f"header {header!r} lacks required field {key}=")
+    if len(tokens) > 1:
+        raise ValueError(f"header field {key}= is given {len(tokens)} times")
+    tok = tokens[0]
+    field = tok[len(key) + 1 :]
+    if not _INT_FIELD.fullmatch(field):
+        raise ValueError(f"bad header field {tok!r}")
+    try:
+        value = int(field)
+    except ValueError as exc:  # more digits than int() converts
+        raise ValueError(f"bad header field {tok!r}") from exc
+    if value < 1:
+        raise ValueError(f"header field {key}={value} must be >= 1")
+    return value

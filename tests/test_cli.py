@@ -240,8 +240,18 @@ class TestCentrality:
             "n=3\n1 2\n2 99999999999999999999\n",
             "n=3 l=1\n2 1\n3 99999999999999999999\n",
             "n=1000000000000 l=1\n",
+            "n=٣ l=١\n2 1\n3 1\n",
+            "n=0_3\n1 2\n2 3\n",
+            "n=3 n=4 l=1\n2 1\n3 1\n",
         ],
-        ids=["shape-int64-overflow", "arrival-int64-overflow", "huge-header"],
+        ids=[
+            "shape-int64-overflow",
+            "arrival-int64-overflow",
+            "huge-header",
+            "header-non-ascii-digits",
+            "header-digit-separator",
+            "header-key-twice",
+        ],
     )
     def test_malformed_text_is_a_clean_error(self, capsys, tmp_path, text):
         f = tmp_path / "bad.txt"
@@ -702,6 +712,14 @@ class TestSubprocess:
         rows = ranked.stdout.strip().splitlines()
         assert rows[0] == "vertex,psi,is_centroid"
         assert len(rows) == 7
+
+    def test_foreign_character_is_a_clean_error(self, tmp_path):
+        # Given this row, NumPy 2.4's loadtxt crashes the interpreter.
+        f = tmp_path / "bad.txt"
+        f.write_text("n=3\n\U000c43dc 1\n2 3\n", encoding="utf-8")
+        result = self.run("centrality", str(f))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: line 2: non-integer")
 
     def test_usage_error_exit_code(self):
         result = self.run("generate", "--kind", "hexagon", "--l", "4")

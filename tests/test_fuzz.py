@@ -8,14 +8,23 @@ returns an object whose serialized form parses back to an equal object.
 import json
 import warnings
 
-from hypothesis import given
+import numpy as np
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from strategies import parent_vectors
 
 from seed_archeology.experiment import config_from_dict
 from seed_archeology.rng import RngHandle
-from seed_archeology.trees import ArrivalTree, SeedSpec, ShapeView, build_seed, scramble
+from seed_archeology.trees import (
+    ArrivalTree,
+    SeedSpec,
+    ShapeView,
+    _read_rows,
+    build_seed,
+    scramble,
+)
 
 #: Characters that tree text is made of, plus a few that it must reject.
 _TREE_CHARS = st.sampled_from(list("0123456789 nl=\n\t\r+-#x.") + ["\xa0", "١"])
@@ -107,6 +116,67 @@ class TestShapeViewText:
     @given(text=_mutated_text("shape"))
     def test_one_line_mutated(self, text):
         _check_shape(text)
+
+
+# ---------------------------------------------------------------------------
+# the row reader against the reader it replaced
+
+#: Whitespace by str.isspace that is not ASCII blank, newline or tab.
+_ODD_SPACES = list("\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003")
+_READER_CHARS = st.one_of(_TREE_CHARS, st.sampled_from(_ODD_SPACES))
+_blanks = [" ", "\t"] + _ODD_SPACES
+_spaces = st.text(st.sampled_from(["\n", "\r"] + _blanks), max_size=3)
+_gap = st.text(st.sampled_from(_blanks), min_size=1, max_size=3)
+
+
+@st.composite
+def _spaced_table(draw) -> str:
+    """A header and rows of small fields, every gap a random whitespace
+    run: mostly valid tree text, in every spacing the reader must take."""
+    n = draw(st.integers(1, 5))
+    row_count = max(0, n - 1 + draw(st.integers(-1, 1)))
+    field = st.one_of(
+        st.integers(-3, 9).map(str), st.sampled_from(["+1", "07", "1.0", "x"])
+    )
+    parts = [draw(_spaces), f"n={n}", draw(_spaces), "\n"]
+    for _ in range(row_count):
+        fields = draw(st.lists(field, min_size=1, max_size=3))
+        line = fields[0] + "".join(draw(_gap) + f for f in fields[1:])
+        parts += [draw(_spaces), line, draw(_spaces), "\n"]
+    return "".join(parts) + draw(_spaces)
+
+
+def _read_or_error(read, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return read(text)
+        except ValueError:
+            return ValueError
+
+
+class TestReadRowsAgainstReference:
+    @given(
+        text=st.one_of(
+            st.text(_READER_CHARS, max_size=80),
+            st.text(_READER_CHARS, max_size=60).map(lambda body: "n=3\n" + body),
+            _spaced_table(),
+            _mutated_text("arrival"),
+            _mutated_text("shape"),
+        )
+    )
+    @example(text="n=3\n1 2\n2 3\n\x1c\x85\u2003")
+    @example(text="\x0b n=1 \n\xa0\n")
+    @example(text="n=2\x1f\n1\xa02\x85\n")
+    def test_same_language(self, text):
+        got = _read_or_error(_read_rows, text)
+        want = _read_or_error(oracles.read_rows_reference, text)
+        if want is ValueError or got is ValueError:
+            assert got is want
+        else:
+            assert got[:2] == want[:2]
+            assert got[2].dtype == want[2].dtype
+            assert np.array_equal(got[2], want[2])
 
 
 # ---------------------------------------------------------------------------

@@ -565,6 +565,46 @@ class TestSerialization:
         assert tree == ArrivalTree(3, 1, np.array([0, 0, 1, 2]))
         assert ShapeView.from_text("n=3\r1 2\r2 3\r").edges() == [(1, 2), (2, 3)]
 
+    def test_header_digits_must_be_ascii(self):
+        # int() reads Arabic-Indic digits; the rows' grammar does not.
+        with pytest.raises(ValueError, match="bad header field 'n=٣'"):
+            ArrivalTree.from_text("n=٣ l=١\n2 1\n3 1\n")
+
+    def test_header_digit_separator_rejected(self):
+        # int() reads "0_3" as 3.
+        with pytest.raises(ValueError, match="bad header field 'n=0_3'"):
+            ShapeView.from_text("n=0_3\n1 2\n2 3\n")
+
+    @pytest.mark.parametrize(
+        "cls, text, key",
+        [
+            (ArrivalTree, "n=3 n=4 l=1\n2 1\n3 1\n", "n"),
+            (ArrivalTree, "n=3 l=1 l=1\n2 1\n3 1\n", "l"),
+            (ShapeView, "n=3 n=3\n1 2\n2 3\n", "n"),
+        ],
+        ids=["arrival-n", "arrival-l", "shape-n"],
+    )
+    def test_header_key_given_twice_rejected(self, cls, text, key):
+        with pytest.raises(ValueError, match=f"{key}= is given 2 times"):
+            cls.from_text(text)
+
+    @pytest.mark.parametrize("char", ["\u01fe", "\U00020000", "\u0663"])
+    def test_non_ascii_field_rejected(self, char):
+        # NumPy 2.4's loadtxt reads the first two as 462 and 131024.
+        with pytest.raises(ValueError, match="line 3: non-integer"):
+            trees._read_rows(f"n=3\n1 2\n2 1{char}\n")
+
+    def test_non_ascii_whitespace_still_separates(self):
+        rows = trees._read_rows("n=3\n1\xa02\u2003\n2\x853\n")[2]
+        assert rows.tolist() == [[1, 2], [2, 3]]
+
+    def test_split_header_copies_only_the_header(self):
+        text = "\n \x0c\u2003n=3 l=1 \n2 1\n3 1\n"
+        header, start = trees._split_header(text)
+        assert header == "n=3 l=1"
+        assert text[start:] == "2 1\n3 1\n"
+        assert trees._split_header(" n=1 ") == ("n=1", 6)
+
     def test_permutation_text_round_trips_by_hand(self):
         tree = make_tree(SeedSpec.path(3), 8)
         view = scramble(tree, RngHandle(44))
@@ -576,6 +616,79 @@ class TestSerialization:
         assert sorted(mapping.values()) == list(range(1, 9))
         for v in range(1, 9):
             assert view.arrival_labels_of({v}) == {mapping[v]}
+
+
+# ---------------------------------------------------------------------------
+# the table writer
+
+#: Chunk and sign edges of the writer, and the ends of int64.
+_EDGE_INTS = [0, 1, -1, 9999, -9999, 10_000, -10_000, 2**63 - 1, -(2**63)]
+_int64s = st.one_of(
+    st.sampled_from(_EDGE_INTS),
+    st.integers(-20_000, 20_000),
+    st.integers(-(2**63), 2**63 - 1),
+)
+#: Separators and prefixes: no NUL, and often a %, a comma, a quote or a
+#: character outside ASCII.
+_row_text = st.one_of(
+    st.sampled_from(["", " ", ",", "%", '"', "%d", "é,", '"a,b"%,', "\u2003"]),
+    st.text(st.characters(blacklist_characters="\0"), max_size=7),
+)
+
+
+@st.composite
+def _columns(draw) -> list[np.ndarray]:
+    """1-4 equal-length int64 or bool columns of 0-30 rows."""
+    rows = draw(st.integers(0, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 3)) == 0:
+            values = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+            columns.append(np.array(values, dtype=bool))
+        else:
+            values = draw(st.lists(_int64s, min_size=rows, max_size=rows))
+            columns.append(np.array(values, dtype=np.int64))
+    return columns
+
+
+def format_by_reference(columns, sep: str, prefix: str) -> str:
+    fields = sep.replace("%", "%%").join(["%d"] * len(columns))
+    row = prefix.replace("%", "%%") + fields + "\n"
+    return oracles.format_rows_reference(row, *columns)
+
+
+class TestFormatRows:
+    @given(columns=_columns(), sep=_row_text, prefix=_row_text)
+    @example(columns=[np.array(_EDGE_INTS)], sep=" ", prefix="")
+    @example(columns=[np.array([], dtype=np.int64)] * 2, sep=" ", prefix="")
+    @example(columns=[np.array([True, False])], sep=",", prefix="%d")
+    def test_matches_percent_reference(self, columns, sep, prefix):
+        out = trees._format_rows(*columns, sep=sep, prefix=prefix)
+        assert out == format_by_reference(columns, sep, prefix)
+
+    @pytest.mark.parametrize("rows", [2**16 - 1, 2**16, 2**16 + 1])
+    def test_slice_seam(self, rows):
+        # Past row 2^16 the second column turns negative and wide, so a
+        # slice's layout (sign word, chunk count) differs from the last.
+        i = np.arange(rows)
+        wide = np.where(i < 2**16, i % 7, -(2**62) + i)
+        flags = np.random.default_rng(rows).random(rows) < 0.5
+        columns = [i, wide, flags]
+        out = trees._format_rows(*columns, sep=",", prefix='"%",')
+        expected = format_by_reference(columns, ",", '"%",')
+        # Lists, so that a failure reports the first differing row.
+        assert out.splitlines(True) == expected.splitlines(True)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"sep": "\0"}, {"sep": ",\0"}, {"prefix": "a\0b"}]
+    )
+    def test_nul_in_sep_or_prefix_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must not contain NUL"):
+            trees._format_rows(np.arange(3), **kwargs)
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError):
+            trees._format_rows(np.arange(3), np.arange(4))
 
 
 # ---------------------------------------------------------------------------
