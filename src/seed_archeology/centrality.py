@@ -2,13 +2,12 @@
 
 For a tree T and vertex v, ``psi(v)`` is the size of the largest component
 of T with v removed.  Small values are central: the minimizers are the
-(at most two, adjacent) centroids.  All routines here run in O(n) using a
-two-pass rerooting: take the view's rooting at shape label 1
-(:attr:`~seed_archeology.trees.ShapeView.rooting`), accumulate subtree
-sizes level by level, then read off
-``psi(v) = max(largest child subtree, n - subtree(v))``.  The
-result does not depend on the reference label (the n - subtree term is 0
-at the root itself).
+(at most two, adjacent) centroids.  All routines here run in O(n) from the
+view's rooting at its centre
+(:attr:`~seed_archeology.trees.ShapeView.rooting`), which carries every
+subtree size: ``psi(v) = max(largest child subtree, n - subtree(v))``.
+The result does not depend on the root (the n - subtree term is 0 at the
+root itself).
 
 Everything operates on :class:`~seed_archeology.trees.ShapeView` and is
 pure; no floating point is involved.
@@ -43,8 +42,8 @@ class CentralityProfile:
         Length ``n + 1``; ``psi[v]`` is the largest component size of the
         tree with v deleted.  Index 0 unused.
     rooted_subtree_size : numpy.ndarray
-        Length ``n + 1``; subtree sizes when the tree is rooted at the
-        vertex with shape label 1.
+        Length ``n + 1``; subtree sizes when the tree is rooted at its
+        centre, the larger label of a bicentral pair.
     rooted_parent : numpy.ndarray
         Length ``n + 1``; each vertex's parent in that rooting, 0 for the
         root.
@@ -77,17 +76,10 @@ def anti_centrality(view: ShapeView) -> CentralityProfile:
     n = view.n
     if n < 1:
         raise ValueError("cannot rank an empty tree")
-    parent, order, bounds = view.rooting
-    size = np.ones(n + 1, dtype=np.int64)
-    size[0] = 0
-    # Children accumulate into parents one level at a time, deepest first;
-    # add.at is required because siblings share a slot within a level.
-    for d in range(len(bounds) - 2, 0, -1):
-        level = order[bounds[d] : bounds[d + 1]]
-        np.add.at(size, parent[level], size[level])
-    non_root = order[1:]
+    parent, size = view.rooting
+    # The root's own size lands in the unused slot 0.
     max_child = np.zeros(n + 1, dtype=np.int64)
-    np.maximum.at(max_child, parent[non_root], size[non_root])
+    np.maximum.at(max_child, parent[1:], size[1:])
     psi = np.maximum(max_child, n - size)
     psi[0] = 0
     best = psi[1:].min()
@@ -120,8 +112,9 @@ def branch_sizes_at(profile: CentralityProfile, v: int) -> dict[int, int]:
 
     For each neighbor u of v, the value is the size of the component of
     T minus v that contains u.  Values sum to ``n - 1``.  Read off the
-    rooting that `profile` was computed on: each child keeps its subtree,
-    and v's parent, if v has one, keeps everything outside v's subtree.
+    rooting at the centre that `profile` was computed on: each child keeps
+    its subtree, and v's parent, if v has one, keeps everything outside
+    v's subtree.
     """
     if not 1 <= v <= profile.n:
         raise ValueError(f"vertex {v} not in 1..{profile.n}")

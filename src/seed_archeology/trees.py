@@ -218,7 +218,7 @@ class ShapeView:
         CSR adjacency over 1-based labels: the neighbors of ``v`` are
         ``indices[indptr[v]:indptr[v + 1]]``, ascending.
     rooting : Rooting
-        The tree rooted at label 1 (see :attr:`rooting`).
+        The tree rooted at its centre (see :attr:`rooting`).
     """
 
     n: int
@@ -250,25 +250,19 @@ class ShapeView:
 
     @cached_property
     def rooting(self) -> "Rooting":
-        """The tree rooted at label 1, computed on first use.
+        """The tree rooted at its centre, computed on first use.
 
         Every finder ranks vertices through this one orientation, and
-        reading it is also the check that the view is a tree: ``n - 1``
-        edges form a tree exactly when they connect all ``n`` vertices.
+        reading it is also the check that the view is a tree.  The root is
+        the centre, the vertex of least eccentricity; of a bicentral pair,
+        the larger label.
 
         Raises
         ------
         ValueError
-            If the walk from label 1 does not reach every vertex.
+            If the edges do not form a tree on ``1..n``.
         """
-        rooting = _orient_from(self, 1)
-        reached = rooting.order.size
-        if reached != self.n:
-            raise ValueError(
-                f"edge list is not a connected tree: reached {reached} of "
-                f"{self.n} vertices from label 1"
-            )
-        return rooting
+        return _peel(self)
 
     # -- scoring-harness surface; not for finders ------------------------
 
@@ -312,25 +306,21 @@ class ShapeView:
 
 
 class Rooting(NamedTuple):
-    """A tree oriented away from its root by breadth-first search.
+    """A tree oriented away from its centre (see :attr:`ShapeView.rooting`).
 
     Attributes
     ----------
     parent : numpy.ndarray
-        Length ``n + 1``; each vertex's parent, 0 for the root (and, on a
-        walk that stops short, for every vertex it did not reach).
-    order : numpy.ndarray
-        The reached vertices in BFS order, the root first.
-    bounds : numpy.ndarray
-        Level offsets into `order`: level d is
-        ``order[bounds[d]:bounds[d + 1]]``, level 0 being the root.
+        Length ``n + 1``; each vertex's parent, 0 for the root.
+    size : numpy.ndarray
+        Length ``n + 1``; the vertex count of each vertex's subtree, that
+        is, of its component away from its parent.  Slot 0 holds 0.
 
-    All three arrays are read-only.
+    Both arrays are read-only.
     """
 
     parent: np.ndarray
-    order: np.ndarray
-    bounds: np.ndarray
+    size: np.ndarray
 
 
 def build_seed(spec: SeedSpec, rng: RngHandle) -> ArrivalTree:
@@ -442,56 +432,64 @@ def _view_from_edges(
     return ShapeView(n, indptr, keys, arrival_of)
 
 
-def _orient_from(view: ShapeView, root: int) -> Rooting:
-    """Root the tree at `root` by frontier BFS.
+def _peel(view: ShapeView) -> Rooting:
+    """Root the tree at its centre by peeling leaves, all of a round at once.
 
-    Each level is written into `order` as it is found.  A `seen` mask
-    keeps each vertex to one level, so on input with a cycle the walk
-    still ends; label 0 is no vertex and is never entered.
+    Each vertex keeps its degree and the sum of its remaining neighbours'
+    labels, so a leaf's one neighbour, its parent, is that sum.  Peeling a
+    leaf adds its size into its parent and takes its degree and label off
+    the parent's; a parent left at degree 1 is a leaf of the next round.
+    The vertex left over is the centre.  When the last edge joins two
+    leaves, only the smaller label is peeled and the larger is the root.
+
+    ``n - 1`` edges, none at label 0, form a tree exactly when they hold
+    no cycle.  A cycle, a repeated edge or a self-loop keeps its vertices
+    at degree 2 or more, however many leaves are peeled.
+
+    Raises
+    ------
+    ValueError
+        If the view is not a tree.
     """
-    n = view.n
+    n, indptr, indices = view.n, view.indptr, view.indices
+    degree = np.diff(indptr)
+    if degree[0] or indices.size != 2 * (n - 1):
+        raise ValueError(
+            f"edge list is not a connected tree: {indices.size // 2} edges "
+            f"for {n} vertices, {degree[0]} of them at label 0"
+        )
+    ends = np.zeros(indices.size + 1, dtype=np.int64)
+    np.cumsum(indices, out=ends[1:])
+    link = ends[indptr[1:]] - ends[indptr[:-1]]
+    del ends
     parent = np.zeros(n + 1, dtype=np.int64)
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[[0, root]] = True
-    order = np.empty(n, dtype=np.int64)
-    order[0] = root
-    bounds = [0, 1]
-    frontier = order[:1]
-    while True:
-        hosts, neigh = _gather_neighbors(view.indptr, view.indices, frontier)
-        fresh = np.flatnonzero(~seen[neigh])
-        if fresh.size == 0:
-            break
-        # Only input with a cycle or a repeated edge meets a vertex from two
-        # pairs; the pair whose position wins the scatter keeps it.
-        children = neigh[fresh]
-        parent[children] = fresh
-        fresh = fresh[parent[children] == fresh]
-        children = neigh[fresh]
-        parent[children] = hosts[fresh]
-        seen[children] = True
-        frontier = children
-        order[bounds[-1] : bounds[-1] + children.size] = children
-        bounds.append(bounds[-1] + children.size)
-    rooting = Rooting(
-        parent, order[: bounds[-1]], np.array(bounds, dtype=np.int64)
-    )
-    for arr in rooting:
+    size = np.ones(n + 1, dtype=np.int64)
+    size[0] = 0
+    leaves = np.flatnonzero(degree == 1)
+    while leaves.size:
+        up = link[leaves]
+        if leaves.size == 2 and up[0] == leaves[1]:
+            # The last edge joins two leaves; the larger label stays.
+            leaves, up = leaves[:1], up[:1]
+        parent[leaves] = up
+        np.add.at(size, up, size[leaves])
+        np.subtract.at(degree, up, 1)
+        np.subtract.at(link, up, leaves)
+        # A parent of several leaves is listed once per leaf.
+        up = up[degree[up] == 1]
+        up.sort()
+        first = np.ones(up.size, dtype=bool)
+        first[1:] = up[1:] != up[:-1]
+        leaves = up[first]
+    cyclic = np.count_nonzero(degree > 1)
+    if cyclic:
+        raise ValueError(
+            f"edge list is not a connected tree: a cycle keeps {cyclic} of "
+            f"{n} vertices from being peeled"
+        )
+    for arr in (parent, size):
         arr.setflags(write=False)
-    return rooting
-
-
-def _gather_neighbors(
-    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All (host, neighbor) pairs for a frontier, via one CSR gather."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    hosts = np.repeat(frontier, counts)
-    # Position arithmetic: for each pair, its offset inside the host's
-    # neighbor run is a 0..count-1 ramp restarted at each host.
-    ramp = np.arange(hosts.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return hosts, indices[np.repeat(starts, counts) + ramp]
+    return Rooting(parent, size)
 
 
 #: Rows per buffer in :func:`_format_rows`.
@@ -660,14 +658,18 @@ _INT_FIELD = re.compile(r"[+-]?[0-9]+")
 def _raise_bad_row(body: str, why: str) -> NoReturn:
     """Name the first row that is not two int64 fields, splitting rows and
     fields as loadtxt does (error path only); `why` is loadtxt's complaint,
-    kept should the scan find no such row."""
+    kept should the scan find no such row.  A field of more than 19
+    significant digits is out of range before ``int()`` sees it, which
+    refuses strings of more than 4300 digits."""
     rows = filter(None, (row.strip() for row in body.split("\n")))
     for lineno, row in enumerate(rows, start=2):
         fields = row.split()
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected two fields, got {row!r}")
         if not all(
-            _INT_FIELD.fullmatch(f) and -(2**63) <= int(f) < 2**63
+            _INT_FIELD.fullmatch(f)
+            and len(f.lstrip("+-0")) <= 19
+            and -(2**63) <= int(f) < 2**63
             for f in fields
         ):
             raise ValueError(

@@ -83,6 +83,35 @@ def brute_force_psi(n: int, edges) -> list[int]:
     return psi[1:]
 
 
+def component_size(adj: list[list[int]], v: int, away: int) -> int:
+    """The number of vertices reachable from `v` without stepping onto
+    `away` (0 for none: label 0 is no vertex)."""
+    seen = {v, away}
+    stack = [v]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) - 1
+
+
+def eccentricities(adj: list[list[int]]) -> list[int]:
+    """Each vertex's greatest distance to another, by one BFS per vertex;
+    index 0 is padding."""
+    ecc = [0] * len(adj)
+    for s in range(1, len(adj)):
+        dist = {s: 0}
+        queue = [s]
+        for u in queue:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        ecc[s] = max(dist.values())
+    return ecc
+
+
 def scipy_psi(n: int, edges) -> list[int]:
     """Same quantity through a second door: scipy connected components
     on the graph with the vertex's incident edges removed."""

@@ -131,7 +131,7 @@ class TestAntiCentrality:
     def test_rooted_sizes_match_subtree_definition(self):
         view = view_of((1, 1, 2, 2, 3))
         profile = anti_centrality(view)
-        # Rooted at label 1: subtree sizes by hand.
+        # Rooted at the centre, label 1: subtree sizes by hand.
         assert list(profile.rooted_subtree_size[1:]) == [6, 3, 2, 1, 1, 1]
 
     def test_profile_shares_the_view_rooting(self):

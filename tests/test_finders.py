@@ -226,20 +226,20 @@ class TestStarFinder:
     def test_star_finder_roots_once(self, monkeypatch):
         # The view roots itself once, while being read, and every later
         # anti_centrality and branch_sizes_at reads that rooting.
-        orient = trees._orient_from
+        peel = trees._peel
         calls = []
 
-        def counting(view, root):
-            calls.append(root)
-            return orient(view, root)
+        def counting(view):
+            calls.append(view)
+            return peel(view)
 
-        monkeypatch.setattr(trees, "_orient_from", counting)
+        monkeypatch.setattr(trees, "_peel", counting)
         rng = RngHandle(4)
         tree = grow(build_seed(SeedSpec.star(5), rng), 200, rng)
         view = ShapeView.from_text(scramble(tree, rng).to_text())
         for stream in range(3):
             find_star_seed(view, params(5, gamma=0.2), RngHandle(0, stream))
-        assert calls == [1]
+        assert calls == [view]
 
     @given(parents=parent_vectors(min_n=4, max_n=40))
     @settings(max_examples=50)

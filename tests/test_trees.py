@@ -22,7 +22,6 @@ from seed_archeology.trees import (
     grow,
     identity_view,
     scramble,
-    _orient_from,
     _view_from_edges,
 )
 
@@ -534,6 +533,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 3: .* out-of-range"):
             cls.from_text(text)
 
+    @pytest.mark.parametrize(
+        "cls, text",
+        [
+            (ShapeView, "n=2\n1 " + "1" * 5000 + "\n"),
+            (ArrivalTree, "n=2 l=1\n2 " + "1" * 5000 + "\n"),
+        ],
+        ids=["shape", "arrival"],
+    )
+    def test_field_too_long_for_int_names_the_line(self, cls, text):
+        # int() refuses more than 4300 digits with a message of its own.
+        with pytest.raises(
+            ValueError, match="line 2: non-integer or out-of-range field"
+        ):
+            cls.from_text(text)
+
     def test_row_count_checked_before_allocating(self):
         # The header asks for 10^12 vertices; nothing that size may be
         # allocated before the missing rows are noticed.
@@ -547,7 +561,7 @@ class TestSerialization:
     def test_shape_view_rejects_cycle_beside_isolated_vertex(self):
         # Four edges for five vertices, but they close a 4-cycle and leave
         # vertex 5 alone.
-        with pytest.raises(ValueError, match="reached 4 of 5"):
+        with pytest.raises(ValueError, match="keeps 4 of 5 vertices"):
             ShapeView.from_text("n=5\n1 2\n2 3\n3 4\n1 4\n")
 
     def test_header_only_text_parses_without_warning(self):
@@ -692,12 +706,12 @@ class TestFormatRows:
 
 
 # ---------------------------------------------------------------------------
-# orientation
+# rooting
 
 
 def chain_of_four_cycles() -> ShapeView:
-    """Twelve 4-cycles joined end to end: 48 edges on 49 labels, of which
-    the walk from label 1 reaches 37 and the last 12 are isolated."""
+    """Twelve 4-cycles joined end to end: 48 edges on 49 labels, 37 of
+    them on the cycles and the last 12 isolated."""
     us, vs = [], []
     for d in range(12):
         a, b, c, e = 3 * d + 1, 3 * d + 2, 3 * d + 3, 3 * d + 4
@@ -707,51 +721,78 @@ def chain_of_four_cycles() -> ShapeView:
     return _view_from_edges(n, np.array(us), np.array(vs), None)
 
 
-class TestOrientFrom:
-    @given(parents=parent_vectors(min_n=1, max_n=30))
-    def test_levels_partition_a_tree(self, parents):
-        tree = build_seed(SeedSpec.custom(parents), RngHandle(0))
-        parent, order, bounds = _orient_from(identity_view(tree), 1)
-        assert np.array_equal(parent, tree.parent_of)
-        assert sorted(order.tolist()) == list(range(1, tree.n + 1))
-        assert bounds[0] == 0 and bounds[1] == 1 and bounds[-1] == tree.n
-        # Each level hangs off the level above it.
-        for d in range(1, len(bounds) - 1):
-            level = order[bounds[d] : bounds[d + 1]]
-            above = order[bounds[d - 1] : bounds[d]]
-            assert level.size and np.isin(parent[level], above).all()
+def check_rooting(view: ShapeView) -> None:
+    """The view's rooting against definitions: psi by deletion, each
+    subtree as the component away from the parent, the root a centre."""
+    n, edges = view.n, view.edges()
+    parent, size = view.rooting
+    adj = oracles.adjacency_from_edges(n, edges)
+    assert anti_centrality(view).psi[1:].tolist() == oracles.brute_force_psi(
+        n, edges
+    )
+    for v in range(1, n + 1):
+        if parent[v]:
+            assert parent[v] in adj[v]
+        assert size[v] == oracles.component_size(adj, v, int(parent[v]))
+    ecc = oracles.eccentricities(adj)
+    centres = [v for v in range(1, n + 1) if ecc[v] == min(ecc[1:])]
+    roots = [v for v in range(1, n + 1) if parent[v] == 0]
+    assert roots == [max(centres)]
 
-    def test_each_vertex_enters_one_level_on_cyclic_input(self):
-        # Without deduplication the far end of each cycle would be met
-        # twice, doubling every level after it.
+
+class TestRooting:
+    def test_every_small_tree_rooted_at_its_centre(self):
+        for n in range(1, 8):
+            for parents in oracles.all_recursive_parent_vectors(n):
+                tree = build_seed(SeedSpec.custom(parents), RngHandle(0))
+                check_rooting(identity_view(tree))
+                check_rooting(scramble(tree, RngHandle(n)))
+
+    def test_rejects_chain_of_four_cycles(self):
         view = chain_of_four_cycles()
-        parent, order, _ = _orient_from(view, 1)
-        assert order.size == np.unique(order).size == 37
-        assert 1 + np.count_nonzero(parent) == 37
-        with pytest.raises(ValueError, match="reached 37 of 49"):
+        with pytest.raises(ValueError, match="keeps 37 of 49 vertices"):
+            view.rooting
+        with pytest.raises(ValueError, match="keeps 37 of 49 vertices"):
             ShapeView.from_text(view.to_text())
 
-    def test_label_zero_is_never_entered(self):
+    def test_anti_centrality_rejects_a_non_tree(self):
+        with pytest.raises(ValueError, match="keeps 37 of 49 vertices"):
+            anti_centrality(chain_of_four_cycles())
+
+    def test_rejects_edge_to_label_zero(self):
         # An edge to the unused slot 0 must not stand in for vertex 3.
         view = _view_from_edges(3, np.array([1, 2]), np.array([2, 0]), None)
-        parent, order, _ = _orient_from(view, 1)
-        assert order.tolist() == [1, 2]
-        assert parent[0] == 0
-        with pytest.raises(ValueError, match="reached 2 of 3"):
+        with pytest.raises(ValueError, match="1 of them at label 0"):
             view.rooting
 
-    def test_anti_centrality_rejects_a_non_tree(self):
-        with pytest.raises(ValueError, match="reached 37 of 49"):
-            anti_centrality(chain_of_four_cycles())
+    def test_rejects_repeated_edge(self):
+        with pytest.raises(ValueError, match="keeps 2 of 3 vertices"):
+            ShapeView.from_text("n=3\n1 2\n1 2\n")
+
+    def test_rejects_self_loop_beside_tree_edge(self):
+        # Peeling both ends of the edge 1-2 would leave only vertex 3,
+        # as if the edges formed a tree.
+        with pytest.raises(ValueError, match="keeps 1 of 3 vertices"):
+            ShapeView.from_text("n=3\n1 2\n3 3\n")
+
+    def test_rejects_isolated_edges_beside_double_loop(self):
+        # Both isolated edges end in the first round, among four leaves.
+        with pytest.raises(ValueError, match="keeps 1 of 5 vertices"):
+            ShapeView.from_text("n=5\n1 2\n3 4\n5 5\n5 5\n")
+
+    def test_rejects_edge_count_other_than_n_minus_one(self):
+        # A 4-cycle connects all four vertices, with one edge too many.
+        view = _view_from_edges(4, np.arange(1, 5), np.array([2, 3, 4, 1]), None)
+        with pytest.raises(ValueError, match="4 edges for 4 vertices"):
+            view.rooting
 
     def test_rooting_is_cached_and_read_only(self):
         view = scramble(make_tree(SeedSpec.urrt(5), 60), RngHandle(3))
         rooting = view.rooting
         assert view.rooting is rooting
-        assert np.array_equal(
-            rooting.parent, _orient_from(view, 1).parent
-        )
-        for arr in rooting:
+        fresh = trees._peel(view)
+        for arr, again in zip(rooting, fresh):
+            assert np.array_equal(arr, again)
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
         with pytest.raises(AttributeError):
