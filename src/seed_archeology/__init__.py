@@ -46,7 +46,6 @@ from .stats import (
     TailCheckResult,
     count_camouflaging,
     deep_tail_check,
-    deep_vertices,
     descendant_histogram,
     mcdiarmid_tail_check,
     path_collision_frequency,
@@ -99,7 +98,6 @@ __all__ = [
     "config_from_dict",
     "count_camouflaging",
     "deep_tail_check",
-    "deep_vertices",
     "depth_scale",
     "descendant_histogram",
     "find_path_seed",

@@ -2,8 +2,9 @@
 
 Subcommands: ``generate`` (build and grow trees), ``centrality``
 (per-vertex anti-centrality as CSV), ``find`` (run a seed finder on a
-serialized shape), ``stats`` (per-tree reports and statistical checks),
-``experiment run`` / ``experiment validate`` (the Monte Carlo harness).
+serialized shape), ``stats`` (per-tree statistic reports as CSV),
+``experiment run`` / ``experiment validate`` (the Monte Carlo harness and
+its checks of the exact formulas).
 
 Master seeds resolve in this order: an explicit ``--master-seed`` flag
 wins; otherwise the ``SEED_ARCHEOLOGY_SEED`` environment variable
@@ -24,7 +25,6 @@ from .experiment import (
     VALIDATION_SUITES,
     load_config,
     run_experiment,
-    urn_moment_checks,
     validate_formulas,
 )
 from .finders import (
@@ -35,13 +35,7 @@ from .finders import (
     find_urrt_seed,
 )
 from .rng import DEFAULT_MASTER_SEED, RngHandle, master_seed_from_env
-from .stats import (
-    count_camouflaging,
-    descendant_histogram,
-    mcdiarmid_tail_check,
-    deep_tail_check,
-    singleton_parents,
-)
+from .stats import count_camouflaging, descendant_histogram, singleton_parents
 from .trees import (
     ArrivalTree,
     SeedKind,
@@ -129,34 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write here instead of stdout")
     p.set_defaults(func=_cmd_find)
 
-    p = sub.add_parser(
-        "stats", help="per-tree reports and statistical checks"
-    )
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--report",
-        choices=["descendants", "singletons", "camouflage"],
-        help="emit CSV rows for the given tree files",
-    )
-    mode.add_argument(
-        "--check",
-        choices=["polya", "mcdiarmid", "deeptail"],
-        help="run a Monte Carlo check and emit a JSON verdict",
-    )
-    p.add_argument("trees", nargs="*", help="tree files (reports only)")
+    p = sub.add_parser("stats", help="per-tree statistic reports as CSV")
     p.add_argument(
-        "--l", type=int, help="prefix size (camouflage report, mcdiarmid)"
+        "--report",
+        required=True,
+        choices=["descendants", "singletons", "camouflage"],
+        help="which statistic to report for each tree file",
     )
-    p.add_argument("--t", type=float, help="tail offset (mcdiarmid)")
-    p.add_argument("--n", type=int, help="arrival count (deeptail)")
-    p.add_argument("--k", type=int, help="descendant threshold (deeptail)")
-    p.add_argument("--red", type=int, default=3, help="initial red balls")
-    p.add_argument("--blue", type=int, default=7, help="initial blue balls")
-    p.add_argument("--draws", type=int, default=1000, help="draws per urn run")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials")
-    _add_seed_args(p)
+    p.add_argument("trees", nargs="*", help="arrival tree files")
+    p.add_argument("--l", type=int, help="prefix size (camouflage report)")
     p.add_argument("--output", help="write here instead of stdout")
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_stats_report)
 
     p = sub.add_parser("experiment", help="Monte Carlo harness")
     esub = p.add_subparsers(dest="subcommand", required=True)
@@ -225,6 +202,8 @@ def _load_view(text: str) -> ShapeView:
 
 
 def _cmd_generate(args) -> int:
+    if args.permutation_out and not args.scramble:
+        raise ValueError("--permutation-out requires --scramble")
     if args.kind == "custom":
         if not args.parents:
             raise ValueError("custom seeds need --parents")
@@ -248,8 +227,6 @@ def _cmd_generate(args) -> int:
             _emit(view.permutation_to_text(), args.permutation_out)
         _emit(view.to_text(), args.output)
     else:
-        if args.permutation_out:
-            raise ValueError("--permutation-out requires --scramble")
         _emit(tree.to_text(), args.output)
     return 0
 
@@ -282,13 +259,9 @@ def _cmd_find(args) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
-    if args.report:
-        return _stats_report(args)
-    return _stats_check(args)
-
-
 def _stats_report(args) -> int:
+    if args.report == "camouflage" and args.l is None:
+        raise ValueError("camouflage report needs --l")
     if not args.trees:
         raise ValueError("reports need at least one tree file")
     trees = [(path, ArrivalTree.from_text(_read_input(path))) for path in args.trees]
@@ -313,8 +286,6 @@ def _stats_report(args) -> int:
             report = singleton_parents(tree)
             rows.append(f"{_csv_field(path)},{tree.n},{report.S}\n")
     else:
-        if args.l is None:
-            raise ValueError("camouflage report needs --l")
         rows = ["tree,l,singleton_parents,camouflaging\n"]
         for path, tree in trees:
             report = count_camouflaging(tree, args.l)
@@ -332,51 +303,6 @@ def _csv_field(text: str) -> str:
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def _stats_check(args) -> int:
-    rng = _resolve_rng(args)
-    if args.check == "polya":
-        trials = args.trials if args.trials is not None else 100_000
-        checks = urn_moment_checks(args.red, args.blue, args.draws, trials, rng)
-        result = {
-            "check": "polya",
-            "red": args.red,
-            "blue": args.blue,
-            "draws": args.draws,
-            "runs": trials,
-            **{
-                key: {"mean": checks[0][key], "variance": checks[1][key]}
-                for key in ("empirical", "theoretical", "se")
-            },
-            "passed": checks[0]["passed"] and checks[1]["passed"],
-        }
-    elif args.check == "mcdiarmid":
-        if args.l is None or args.t is None:
-            raise ValueError("mcdiarmid check needs --l and --t")
-        trials = args.trials if args.trials is not None else 10_000
-        tail = mcdiarmid_tail_check(args.l, args.t, trials, rng)
-        result = {
-            "check": "mcdiarmid",
-            "l": args.l,
-            "t": args.t,
-            "trials": trials,
-            **tail.verdict(),
-        }
-    else:
-        if args.n is None or args.k is None:
-            raise ValueError("deeptail check needs --n and --k")
-        trials = args.trials if args.trials is not None else 100_000
-        tail = deep_tail_check(args.n, args.k, trials, rng)
-        result = {
-            "check": "deeptail",
-            "n": args.n,
-            "k": args.k,
-            "trials": trials,
-            **tail.verdict(),
-        }
-    _emit(json.dumps(result, indent=2) + "\n", args.output)
-    return 0 if result["passed"] else 1
 
 
 def _cmd_experiment_run(args) -> int:

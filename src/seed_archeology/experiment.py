@@ -65,7 +65,6 @@ __all__ = [
     "run_trial_artifacts",
     "TrialArtifacts",
     "run_experiment",
-    "urn_moment_checks",
     "validate_formulas",
     "wilson_interval",
 ]
@@ -141,6 +140,10 @@ class ExperimentConfig:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse and validate a config dict; unknown fields are an error."""
+    if not isinstance(raw, dict):
+        raise ValueError(
+            f"config must be a JSON object, got {type(raw).__name__}"
+        )
     top = dict(raw)
     version = _take(top, "schema_version", int)
     if version != SCHEMA_VERSION:
@@ -514,19 +517,13 @@ def _camouflage_suite(trials: int, rng: RngHandle) -> list[dict]:
     ]
 
 
-def urn_moment_checks(
-    red: int, blue: int, draws: int, runs: int, rng: RngHandle
-) -> list[dict]:
-    """Mean and variance of the urn's red fraction against their exact values.
-
-    After `draws` draws from an urn of `red` + `blue` = N balls, the red
-    fraction has mean red/N and variance
-    ``red blue / (N^2 (N + 1)) * draws / (N + draws)``; the Beta limit
-    drops the last factor.  Each check passes within 3 standard errors.
-    """
-    if runs < 2:
-        raise ValueError(f"the urn check needs at least 2 runs, got {runs}")
-    fractions = stats.polya_fraction_samples(red, blue, draws, runs, rng)
+def _polya_suite(trials: int, rng: RngHandle) -> list[dict]:
+    # After `draws` draws from an urn of red + blue = N balls, the red
+    # fraction has mean red/N and variance
+    # red blue / (N^2 (N + 1)) * draws / (N + draws); the Beta limit drops
+    # the last factor.
+    red, blue, draws = 3, 7, 1000
+    fractions = stats.polya_fraction_samples(red, blue, draws, trials, rng)
     total = red + blue
     var_exact = (
         red * blue / (total * total * (total + 1)) * draws / (total + draws)
@@ -535,10 +532,10 @@ def urn_moment_checks(
         f"urn ({red},{blue}) mean fraction", fractions, red / total
     )
     centered = fractions - fractions.mean()
-    s2 = float(np.mean(centered**2) * runs / (runs - 1))
-    # Delta-method SE of the sample variance: sqrt((m4 - s2^2) / runs).
+    s2 = float(np.mean(centered**2) * trials / (trials - 1))
+    # Delta-method SE of the sample variance: sqrt((m4 - s2^2) / trials).
     m4 = float(np.mean(centered**4))
-    se = math.sqrt(max(m4 - s2 * s2, 0.0) / runs)
+    se = math.sqrt(max(m4 - s2 * s2, 0.0) / trials)
     var_check = {
         "name": f"urn ({red},{blue}) fraction variance",
         "empirical": s2,
@@ -547,10 +544,6 @@ def urn_moment_checks(
         "passed": bool(abs(s2 - var_exact) <= 3.0 * se),
     }
     return [mean_check, var_check]
-
-
-def _polya_suite(trials: int, rng: RngHandle) -> list[dict]:
-    return urn_moment_checks(3, 7, 1000, trials, rng)
 
 
 def _tails_suite(trials: int, rng: RngHandle) -> list[dict]:

@@ -46,7 +46,6 @@ __all__ = [
     "CollisionProbability",
     "rooted_subtree_sizes",
     "descendant_histogram",
-    "deep_vertices",
     "singleton_parents",
     "count_camouflaging",
     "polya_fraction_samples",
@@ -123,16 +122,6 @@ def descendant_histogram(tree: ArrivalTree) -> DescendantHistogram:
     exactly = np.bincount(descendants, minlength=tree.n)
     at_least = exactly[::-1].cumsum()[::-1]
     return DescendantHistogram(tree.n, exactly, at_least)
-
-
-def deep_vertices(tree: ArrivalTree, a: float) -> frozenset[int]:
-    """Vertices with at least `a` descendants (subtree size >= a + 1)."""
-    if a < 0:
-        raise ValueError(f"descendant threshold must be >= 0, got {a}")
-    descendants = rooted_subtree_sizes(tree) - 1
-    return frozenset(
-        int(v) for v in np.flatnonzero(descendants[1:] >= a) + 1
-    )
 
 
 def singleton_parents(tree: ArrivalTree) -> CamouflageReport:

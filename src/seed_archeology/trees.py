@@ -171,12 +171,6 @@ class ArrivalTree:
             and bool(np.array_equal(self.parent_of, other.parent_of))
         )
 
-    def prefix(self, m: int) -> "ArrivalTree":
-        """The tree as it stood after vertex `m` arrived."""
-        if not 1 <= m <= self.n:
-            raise ValueError(f"prefix size must be in 1..{self.n}, got {m}")
-        return ArrivalTree(m, min(self.l, m), self.parent_of[: m + 1].copy())
-
     def to_text(self) -> str:
         """Serialize as a header line ``n=<n> l=<l>`` plus one
         ``<child> <parent>`` line per vertex 2..n in arrival order."""
@@ -236,18 +230,6 @@ class ShapeView:
             perm.setflags(write=False)
             object.__setattr__(self, "_arrival_of", perm)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Undirected edge list, smaller label first, sorted."""
-        us, vs = self._edge_columns()
-        return list(zip(us.tolist(), vs.tolist()))
-
-    def _edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        # CSR order is (owner, neighbor) ascending, so keeping each edge at
-        # its smaller endpoint leaves the pairs already sorted.
-        owner = np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
-        mask = owner < self.indices
-        return owner[mask], self.indices[mask]
-
     @cached_property
     def rooting(self) -> "Rooting":
         """The tree rooted at its centre, computed on first use.
@@ -289,7 +271,12 @@ class ShapeView:
         Edges are written smaller label first and sorted, never in arrival
         order, so the file carries no trace of the hidden relabeling.
         """
-        return f"n={self.n}\n" + _format_rows(*self._edge_columns())
+        # CSR order is (owner, neighbor) ascending, so keeping each edge at
+        # its smaller endpoint leaves the pairs already sorted.
+        owner = np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+        mask = owner < self.indices
+        rows = _format_rows(owner[mask], self.indices[mask])
+        return f"n={self.n}\n" + rows
 
     @classmethod
     def from_text(cls, text: str) -> "ShapeView":

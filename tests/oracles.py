@@ -49,6 +49,17 @@ def csr_neighbors(view, v: int) -> list[int]:
     return view.indices[view.indptr[v] : view.indptr[v + 1]].tolist()
 
 
+def edge_list(view) -> list[tuple[int, int]]:
+    """A view's undirected edges, smaller label first, sorted, read off
+    the neighbor runs of :func:`csr_neighbors`."""
+    return [
+        (u, v)
+        for u in range(1, view.n + 1)
+        for v in csr_neighbors(view, u)
+        if u < v
+    ]
+
+
 def arrival_degrees(tree) -> np.ndarray:
     """Degree of each vertex of an arrival tree; index 0 unused."""
     deg = np.bincount(tree.parent_of[2:], minlength=tree.n + 1)

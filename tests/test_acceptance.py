@@ -70,7 +70,8 @@ def test_criterion_01_centrality_matches_brute_force(acceptance_report):
                 tree = grow(build_seed(kind(max(2, n // 2)), rng), n, rng)
             view = scramble(tree, rng)
             profile = anti_centrality(view)
-            expected = oracles.brute_force_psi(view.n, view.edges())
+            edges = oracles.edge_list(view)
+            expected = oracles.brute_force_psi(view.n, edges)
             assert profile.psi[1:].tolist() == expected
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0

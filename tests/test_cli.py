@@ -3,15 +3,25 @@
 import csv
 import io
 import json
+import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from seed_archeology import cli
 from seed_archeology.cli import main
 from seed_archeology.experiment import run_experiment, load_config
-from seed_archeology.rng import SEED_ENV_VAR
-from seed_archeology.stats import descendant_histogram
+from seed_archeology.rng import SEED_ENV_VAR, RngHandle
+from seed_archeology.stats import (
+    deep_tail_check,
+    descendant_histogram,
+    mcdiarmid_tail_check,
+    polya_fraction_samples,
+)
 from seed_archeology.trees import ArrivalTree, ShapeView
 
 
@@ -157,7 +167,13 @@ class TestGenerate:
         arrivals = sorted(int(r.split()[1]) for r in rows)
         assert arrivals == list(range(1, 13))
 
-    def test_permutation_out_needs_scramble(self, capsys, tmp_path):
+    def test_permutation_out_needs_scramble(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_growth(*args):
+            raise AssertionError("grew a tree before checking the options")
+
+        monkeypatch.setattr(cli, "grow", no_growth)
         code, _, err = run_cli(
             capsys,
             "generate",
@@ -429,12 +445,14 @@ class TestStats:
         ]
 
     def test_camouflage_report_requires_l(self, capsys, tmp_path):
-        f = self.write_tree(tmp_path, "t4.txt", "n=4 l=2\n2 1\n3 1\n4 1\n")
+        # Checked before any tree file is read.
+        missing = tmp_path / "missing.txt"
         code, _, err = run_cli(
-            capsys, "stats", "--report", "camouflage", str(f)
+            capsys, "stats", "--report", "camouflage", str(missing)
         )
         assert code == 2
         assert "--l" in err
+        assert "missing.txt" not in err
 
     @pytest.mark.parametrize("name", ["a,b.txt", 'q"x.txt'])
     @pytest.mark.parametrize(
@@ -476,99 +494,73 @@ class TestStats:
         assert code == 2
         assert "at least one tree" in err
 
-    def test_polya_check_passes(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "stats", "--check", "polya",
-            "--trials", "3000", "--draws", "300",
-        )
-        assert code == 0
-        verdict = json.loads(out)
-        assert verdict["passed"] is True
-        assert verdict["theoretical"]["mean"] == pytest.approx(0.3)
-        # Exact variance after 300 draws: the Beta limit times 300/310.
-        assert verdict["theoretical"]["variance"] == pytest.approx(
-            0.21 / 11 * 300 / 310
-        )
-
-    @pytest.mark.parametrize("trials", [0, 1])
-    def test_polya_check_needs_two_runs(self, capsys, trials):
-        code, _, err = run_cli(
-            capsys, "stats", "--check", "polya", "--trials", str(trials)
-        )
-        assert code == 2
-        assert err.startswith("error:")
-        assert "at least 2 runs" in err
+    def test_check_option_is_gone(self):
+        # The Monte Carlo checks run through `experiment validate`.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", "--check", "polya"])
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("draws", [-1, -10])
     def test_polya_check_rejects_negative_draws(self, capsys, draws):
-        code, out, err = run_cli(
-            capsys,
-            "stats", "--check", "polya",
-            "--draws", str(draws), "--trials", "1000",
+        # No command line sets the urn's draw count any more; the sampler
+        # behind `experiment validate polya` still refuses a negative one.
+        for argv in (
+            ["stats", "--check", "polya", "--draws", str(draws)],
+            ["experiment", "validate", "polya", "--draws", str(draws)],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "error:" in err
+        with pytest.raises(ValueError, match="^draws must be >= 0"):
+            polya_fraction_samples(3, 7, draws, 1000, RngHandle(0))
+
+    def tail_checks(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "experiment", "validate", "tails", "--trials", "1500"
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-        assert "draws must be >= 0" in err
+        assert code == 0
+        return json.loads(out)["checks"]
 
     def test_mcdiarmid_check(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "stats", "--check", "mcdiarmid",
-            "--l", "20", "--t", "10", "--trials", "1500",
-        )
-        assert code == 0
-        verdict = json.loads(out)
-        assert verdict["empirical"] == 0.0
-        assert verdict["passed"] is True
-
-    def test_mcdiarmid_check_requires_l_and_t(self, capsys):
-        code, _, err = run_cli(capsys, "stats", "--check", "mcdiarmid")
-        assert code == 2
-        assert "--l and --t" in err
+        lower_tails = self.tail_checks(capsys)[1:]
+        assert [c["name"] for c in lower_tails] == [
+            "camouflage lower tail l=60 t=5",
+            "camouflage lower tail l=60 t=30",
+        ]
+        for check, t in zip(lower_tails, (5.0, 30.0)):
+            assert check["theoretical"] == pytest.approx(
+                math.exp(-t * t / 120.0)
+            )
+            # G_l >= 0 > l/384 - t: the lower-tail event is impossible.
+            assert check["empirical"] == 0.0
+            assert check["passed"] is True
 
     def test_deeptail_check(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "stats", "--check", "deeptail",
-            "--n", "30", "--k", "1", "--trials", "1500",
-        )
-        assert code == 0
-        assert json.loads(out)["passed"] is True
-
-    def test_deeptail_check_requires_n_and_k(self, capsys):
-        code, _, err = run_cli(capsys, "stats", "--check", "deeptail")
-        assert code == 2
-        assert "--n and --k" in err
+        deep = self.tail_checks(capsys)[0]
+        assert deep["name"] == "deep-vertex tail n=64 k=1"
+        assert deep["theoretical"] == pytest.approx(math.exp(-2.0))
+        assert deep["passed"] is True
 
     @pytest.mark.parametrize(
-        "args",
+        "check",
         [
-            ("deeptail", "--n", "64", "--k", "1"),
-            ("mcdiarmid", "--l", "60", "--t", "5"),
+            lambda trials: deep_tail_check(64, 1, trials, RngHandle(0)),
+            lambda trials: mcdiarmid_tail_check(60, 5.0, trials, RngHandle(0)),
         ],
         ids=["deeptail", "mcdiarmid"],
     )
-    def test_tail_checks_reject_zero_trials(self, capsys, args):
+    def test_tail_checks_reject_zero_trials(self, capsys, check):
         code, out, err = run_cli(
-            capsys, "stats", "--check", *args, "--trials", "0"
+            capsys, "experiment", "validate", "tails", "--trials", "0"
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: trials must be >= 1, got 0")
-
-    def test_check_output_to_file(self, capsys, tmp_path):
-        target = tmp_path / "verdict.json"
-        code, out, _ = run_cli(
-            capsys,
-            "stats", "--check", "mcdiarmid",
-            "--l", "10", "--t", "5", "--trials", "1200",
-            "--output", str(target),
-        )
-        assert code == 0
-        assert out == ""
-        assert json.loads(target.read_text())["l"] == 10
+        assert err.startswith("error: need trials >= 1000")
+        with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+            check(0)
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +676,65 @@ class TestExperimentCommands:
         assert report["passed"] is True
         assert report["suite"] == "singletons"
 
+    def test_validate_output_to_file(self, capsys, tmp_path):
+        target = tmp_path / "verdict.json"
+        code, out, _ = run_cli(
+            capsys,
+            "experiment", "validate", "polya", "--trials", "1000",
+            "--output", str(target),
+        )
+        assert out == ""
+        report = json.loads(target.read_text())
+        assert (report["suite"], report["trials"]) == ("polya", 1000)
+        assert code == (0 if report["passed"] else 1)
+
+    @pytest.mark.parametrize(
+        "top, kind",
+        [("42", "int"), ("null", "NoneType"), ("[1, 2]", "list"),
+         ('"abc"', "str")],
+        ids=["int", "null", "list", "string"],
+    )
+    def test_run_rejects_non_object_config(self, capsys, tmp_path, top, kind):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(top)
+        code, out, err = run_cli(capsys, "experiment", "run", str(config_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: config must be a JSON object, got {kind}\n"
+
     def test_validate_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["experiment", "validate", "nonsense"])
         assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+
+def readme_commands() -> list[str]:
+    """Every ``seed-archeology ...`` line of README.md's ``sh`` blocks,
+    with backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in re.sub(r"\s*\\\n\s*", " ", block).splitlines():
+            if line.startswith("seed-archeology "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_finds_the_cli_examples():
+    # Guards the extraction itself: an empty list would pass vacuously.
+    assert len(readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_command_parses(command):
+    argv = shlex.split(command, comments=True)[1:]
+    cli.build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="missing required field 'n'"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "raw, kind",
+        [(42, "int"), (None, "NoneType"), ([1, 2], "list"), ("abc", "str")],
+        ids=["int", "null", "list", "string"],
+    )
+    def test_top_level_must_be_an_object(self, raw, kind):
+        with pytest.raises(
+            ValueError, match=f"^config must be a JSON object, got {kind}$"
+        ):
+            config_from_dict(raw)
+
     def test_unknown_top_level_field_rejected(self):
         with pytest.raises(ValueError, match="unknown field.*bogus"):
             config_from_dict(config_dict(bogus=1))
@@ -440,6 +451,14 @@ class TestValidateFormulas:
     def test_too_few_trials_rejected(self):
         with pytest.raises(ValueError, match="trials >= 1000"):
             validate_formulas("polya", 999, RngHandle(0))
+
+    def test_polya_theoretical_values_pinned(self):
+        # Urn (3 red, 7 blue) after 1000 draws: mean 3/10, and the Beta
+        # limit's variance 21/(10^2 * 11) times 1000/(10 + 1000).
+        report = validate_formulas("polya", 1000, RngHandle(0))
+        mean, variance = (c["theoretical"] for c in report["checks"])
+        assert mean == 0.3
+        assert variance == pytest.approx(0.21 / 11 * 1000 / 1010, rel=1e-15)
 
     @pytest.mark.parametrize("suite", VALIDATION_SUITES)
     def test_suite_passes_and_is_json_clean(self, suite):

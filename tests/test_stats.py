@@ -19,7 +19,6 @@ from seed_archeology.stats import (
     camouflage_counts,
     count_camouflaging,
     deep_tail_check,
-    deep_vertices,
     descendant_histogram,
     mcdiarmid_tail_check,
     path_collision_frequency,
@@ -79,9 +78,10 @@ class TestDescendantHistogram:
         assert int(hist.exactly.sum()) == n
         assert int(hist.at_least[0]) == n
         assert int(hist.exactly[n - 1]) == 1  # the root owns everyone
+        counts = oracles.descendant_counts(parents)
         for k in range(n):
             assert int(hist.at_least[k]) == int(hist.exactly[k:].sum())
-            assert int(hist.at_least[k]) == len(deep_vertices(tree, k))
+            assert int(hist.at_least[k]) == sum(c >= k for c in counts)
 
     def test_exhaustive_small_sizes_match_closed_forms(self):
         # Enumerate every recursive tree on n vertices and average: the
@@ -110,19 +110,16 @@ class TestDescendantHistogram:
 
 class TestDeepVertices:
     def test_three_path(self):
-        tree = tree_of((1, 2))
-        assert deep_vertices(tree, 0) == {1, 2, 3}
-        assert deep_vertices(tree, 1) == {1, 2}
-        assert deep_vertices(tree, 2) == {1}
+        # Vertices with at least k descendants, as deep_tail_check counts
+        # them: rooted subtree size minus one.
+        descendants = rooted_subtree_sizes(tree_of((1, 2)))[1:] - 1
 
-    def test_fractional_threshold(self):
-        tree = tree_of((1, 2))
-        assert deep_vertices(tree, 1.5) == {1}
-        assert deep_vertices(tree, 2.5) == set()
+        def deep(k):
+            return {v for v, d in enumerate(descendants, start=1) if d >= k}
 
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            deep_vertices(tree_of((1,)), -1)
+        assert deep(0) == {1, 2, 3}
+        assert deep(1) == {1, 2}
+        assert deep(2) == {1}
 
     def test_rooted_subtree_sizes_on_path(self):
         assert list(rooted_subtree_sizes(tree_of((1, 2, 3)))[1:]) == [
@@ -220,7 +217,7 @@ class TestCamouflage:
             int(rng.generator.integers(1, i)) for i in range(2, 25)
         )
         full = tree_of(parents)
-        clipped = full.prefix(12)
+        clipped = tree_of(parents[:11])
         for l in (2, 3, 6):
             a = count_camouflaging(full, l)
             b = count_camouflaging(clipped, l)
@@ -679,12 +676,16 @@ class TestTailChecks:
     def test_mcdiarmid_validation(self):
         with pytest.raises(ValueError, match="t must be"):
             mcdiarmid_tail_check(10, -1.0, 1500, RngHandle(0))
+        with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+            mcdiarmid_tail_check(60, 5.0, 0, RngHandle(0))
 
     def test_deep_tail_validation(self):
         with pytest.raises(ValueError, match="k must be"):
             deep_tail_check(10, 0, 100, RngHandle(0))
         with pytest.raises(ValueError, match="n > k"):
             deep_tail_check(5, 5, 100, RngHandle(0))
+        with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+            deep_tail_check(64, 1, 0, RngHandle(0))
 
     def test_deep_tail_passes_at_desk_scale(self):
         result = deep_tail_check(64, 1, 5000, RngHandle(4))
