@@ -201,15 +201,29 @@ def _load_view(text: str) -> ShapeView:
     return ShapeView.from_text(text)
 
 
+def _parse_parents(text: str) -> list[int]:
+    """The integers of a comma-separated ``--parents`` list; blank entries
+    are skipped, and a bad one is named by its position from 1."""
+    parents = []
+    for pos, tok in enumerate(text.split(","), start=1):
+        if not tok.strip():
+            continue
+        try:
+            parents.append(int(tok))
+        except ValueError:
+            raise ValueError(
+                f"--parents entry {pos} is {tok.strip()!r}, not an integer"
+            ) from None
+    return parents
+
+
 def _cmd_generate(args) -> int:
     if args.permutation_out and not args.scramble:
         raise ValueError("--permutation-out requires --scramble")
     if args.kind == "custom":
         if not args.parents:
             raise ValueError("custom seeds need --parents")
-        spec = SeedSpec.custom(
-            [int(tok) for tok in args.parents.split(",") if tok.strip()]
-        )
+        spec = SeedSpec.custom(_parse_parents(args.parents))
         if args.l is not None and args.l != spec.l:
             raise ValueError(
                 f"--l {args.l} disagrees with --parents ({spec.l} vertices)"

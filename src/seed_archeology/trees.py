@@ -11,7 +11,11 @@ Two views of a grown tree exist.  :class:`ArrivalTree` carries arrival
 order and is the ground truth used for scoring.  :class:`ShapeView` is the
 same graph under a uniformly random relabeling; seed finders receive only
 this view, with the relabeling retained in a field that scoring code alone
-may read.
+may read.  A view stores its tree rooted at the centre, as per-vertex
+parent and subtree-size arrays over shape labels, which depend on the
+shape alone; the edge list it was built from, whose order would give the
+arrival order away, is not kept.  Its CSR adjacency is built from the
+rooting on first read, and no finder reads it.
 
 Both types are immutable after construction and safe to share between
 worker processes.
@@ -197,54 +201,51 @@ class ArrivalTree:
 class ShapeView:
     """A tree with its labels scrambled, as handed to seed finders.
 
-    Adjacency is stored in CSR form with neighbor lists sorted by label, so
-    nothing about arrival order survives in the data a finder can touch.
-    The relabeling needed for scoring lives in ``_arrival_of`` and is read
-    through :meth:`arrival_labels_of` by the experiment harness only;
-    finder code must not touch it (a test runs every finder against a view
-    with this field poisoned to enforce that).
+    The view stores the tree rooted at its centre: per-vertex parent and
+    subtree-size arrays over shape labels, a function of the shape alone,
+    so nothing about arrival order survives in the data a finder can touch.
+    The edge list the view was built from is not kept, since its order
+    would give the arrival order away.  The relabeling needed for scoring
+    lives in ``_arrival_of`` and is read through :meth:`arrival_labels_of`
+    by the experiment harness only; finder code must not touch it (a test
+    runs every finder against a view with this field poisoned to enforce
+    that).
 
     Attributes
     ----------
     n : int
         Vertex count; shape labels are ``1..n``.
+    rooting : Rooting
+        The tree rooted at its centre, the vertex of least eccentricity; of
+        a bicentral pair, the larger label.  Every finder ranks vertices
+        through this one orientation.
     indptr, indices : numpy.ndarray
         CSR adjacency over 1-based labels: the neighbors of ``v`` are
-        ``indices[indptr[v]:indptr[v + 1]]``, ascending.
-    rooting : Rooting
-        The tree rooted at its centre (see :attr:`rooting`).
+        ``indices[indptr[v]:indptr[v + 1]]``, ascending.  Built from the
+        rooting on first read; no finder reads it.
     """
 
     n: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    rooting: Rooting
     _arrival_of: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("indptr", "indices"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         if self._arrival_of is not None:
             perm = np.ascontiguousarray(self._arrival_of, dtype=np.int64)
             perm.setflags(write=False)
             object.__setattr__(self, "_arrival_of", perm)
 
     @cached_property
-    def rooting(self) -> "Rooting":
-        """The tree rooted at its centre, computed on first use.
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return _csr_from_parent(self.n, self.rooting.parent)
 
-        Every finder ranks vertices through this one orientation, and
-        reading it is also the check that the view is a tree.  The root is
-        the centre, the vertex of least eccentricity; of a bicentral pair,
-        the larger label.
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr[0]
 
-        Raises
-        ------
-        ValueError
-            If the edges do not form a tree on ``1..n``.
-        """
-        return _peel(self)
+    @property
+    def indices(self) -> np.ndarray:
+        return self._csr[1]
 
     # -- scoring-harness surface; not for finders ------------------------
 
@@ -271,11 +272,11 @@ class ShapeView:
         Edges are written smaller label first and sorted, never in arrival
         order, so the file carries no trace of the hidden relabeling.
         """
-        # CSR order is (owner, neighbor) ascending, so keeping each edge at
-        # its smaller endpoint leaves the pairs already sorted.
-        owner = np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
-        mask = owner < self.indices
-        rows = _format_rows(owner[mask], self.indices[mask])
+        child, up = _tree_edges(self.rooting.parent)
+        keys = np.minimum(child, up) * (self.n + 1)
+        keys += np.maximum(child, up)
+        keys.sort()
+        rows = _format_rows(*np.divmod(keys, self.n + 1))
         return f"n={self.n}\n" + rows
 
     @classmethod
@@ -287,9 +288,7 @@ class ShapeView:
             )
         if rows.size and (rows.min() < 1 or rows.max() > n):
             raise ValueError(f"edge endpoint out of range 1..{n}")
-        view = _view_from_edges(n, rows[:, 0], rows[:, 1], arrival_of=None)
-        view.rooting  # raises unless the edges form a tree
-        return view
+        return _view_from_edges(n, rows[:, 0], rows[:, 1], arrival_of=None)
 
 
 class Rooting(NamedTuple):
@@ -357,8 +356,8 @@ def grow(tree: ArrivalTree, n: int, rng: RngHandle) -> ArrivalTree:
 def scramble(tree: ArrivalTree, rng: RngHandle) -> ShapeView:
     """Hide arrival order behind a uniformly random relabeling.
 
-    Returns a :class:`ShapeView` whose adjacency is the input tree's under
-    a fresh uniform permutation of ``{1..n}``, with the permutation
+    Returns the :class:`ShapeView` of the input tree under a fresh uniform
+    permutation of ``{1..n}``, rooted at its centre, with the permutation
     recorded for the scoring harness.
     """
     n = tree.n
@@ -391,43 +390,35 @@ def _view_from_edges(
     vs: np.ndarray,
     arrival_of: np.ndarray | None,
 ) -> ShapeView:
-    """Build CSR adjacency (sorted neighbor lists) from n-1 undirected edges.
+    """The view of the tree with edges ``us[i] -- vs[i]`` on labels ``1..n``.
 
-    Each directed end ``(a, b)``, with both labels in ``0..n``, is packed
-    into one int64 key ``a * (n + 1) + b``; one in-place sort of the keys
-    orders the ends by owner, then neighbor, and ``key % (n + 1)`` reads
-    the neighbor back.  The largest key is ``(n + 1)**2 - 1``, so `n` must
-    satisfy ``(n + 1)**2 <= 2**63 - 1``.  Tree edges are unique, hence so
-    are the keys; a repeated edge gives equal keys, and equal keys decode
-    to the same pair.  So the result does not depend on the order in
-    which the sort leaves equal keys.
+    The edges are rooted by :func:`_peel` and then dropped: the view keeps
+    only the rooting, so the order the edges came in leaves no trace.  The
+    CSR adjacency and :meth:`ShapeView.to_text` pack an edge ``(a, b)``
+    into the int64 key ``a * (n + 1) + b``, whose largest value is
+    ``(n + 1)**2 - 1``, so `n` must satisfy ``(n + 1)**2 <= 2**63 - 1``.
 
     Raises
     ------
     ValueError
-        If `n` is too large for the packed key.
+        If `n` is too large for the packed key, or the edges do not form a
+        tree on ``1..n``.
     """
     if (int(n) + 1) ** 2 > 2**63 - 1:
         raise ValueError(f"n={n} is too large for an int64 edge key")
-    keys = np.concatenate([us, vs], dtype=np.int64)
-    indptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n + 2)[:-1], out=indptr[1:])
-    keys *= n + 1
-    keys += np.concatenate([vs, us])
-    keys.sort()
-    keys %= n + 1
-    return ShapeView(n, indptr, keys, arrival_of)
+    return ShapeView(n, _peel(n, us, vs), arrival_of)
 
 
-def _peel(view: ShapeView) -> Rooting:
+def _peel(n: int, us: np.ndarray, vs: np.ndarray) -> Rooting:
     """Root the tree at its centre by peeling leaves, all of a round at once.
 
     Each vertex keeps its degree and the sum of its remaining neighbours'
-    labels, so a leaf's one neighbour, its parent, is that sum.  Peeling a
-    leaf adds its size into its parent and takes its degree and label off
-    the parent's; a parent left at degree 1 is a leaf of the next round.
-    The vertex left over is the centre.  When the last edge joins two
-    leaves, only the smaller label is peeled and the larger is the root.
+    labels, both read straight off the edge ends.  A leaf's one neighbour,
+    its parent, is that sum.  Peeling a leaf adds its size into its parent
+    and takes its degree and label off the parent's; a parent left at
+    degree 1 is a leaf of the next round.  The vertex left over is the
+    centre.  When the last edge joins two leaves, only the smaller label is
+    peeled and the larger is the root.  Labels must lie in ``0..n``.
 
     ``n - 1`` edges, none at label 0, form a tree exactly when they hold
     no cycle.  A cycle, a repeated edge or a self-loop keeps its vertices
@@ -436,19 +427,17 @@ def _peel(view: ShapeView) -> Rooting:
     Raises
     ------
     ValueError
-        If the view is not a tree.
+        If the edges do not form a tree on ``1..n``.
     """
-    n, indptr, indices = view.n, view.indptr, view.indices
-    degree = np.diff(indptr)
-    if degree[0] or indices.size != 2 * (n - 1):
+    degree = np.bincount(np.concatenate([us, vs]), minlength=n + 1)
+    if degree[0] or len(us) != n - 1:
         raise ValueError(
-            f"edge list is not a connected tree: {indices.size // 2} edges "
+            f"edge list is not a connected tree: {len(us)} edges "
             f"for {n} vertices, {degree[0]} of them at label 0"
         )
-    ends = np.zeros(indices.size + 1, dtype=np.int64)
-    np.cumsum(indices, out=ends[1:])
-    link = ends[indptr[1:]] - ends[indptr[:-1]]
-    del ends
+    link = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(link, us, vs)
+    np.add.at(link, vs, us)
     parent = np.zeros(n + 1, dtype=np.int64)
     size = np.ones(n + 1, dtype=np.int64)
     size[0] = 0
@@ -477,6 +466,35 @@ def _peel(view: ShapeView) -> Rooting:
     for arr in (parent, size):
         arr.setflags(write=False)
     return Rooting(parent, size)
+
+
+def _tree_edges(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge of a rooted tree once, as ``(child, parent)`` columns."""
+    child = np.flatnonzero(parent)
+    return child, parent[child]
+
+
+def _csr_from_parent(
+    n: int, parent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CSR ``(indptr, indices)`` of a rooted tree's edges, with
+    each neighbor run sorted.
+
+    Each directed end ``(a, b)`` is packed into one int64 key
+    ``a * (n + 1) + b``; one in-place sort of the keys orders the ends by
+    owner, then neighbor, and ``key % (n + 1)`` reads the neighbor back.
+    """
+    child, up = _tree_edges(parent)
+    keys = np.concatenate([child, up], dtype=np.int64)
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n + 2)[:-1], out=indptr[1:])
+    keys *= n + 1
+    keys += np.concatenate([up, child])
+    keys.sort()
+    keys %= n + 1
+    for arr in (indptr, keys):
+        arr.setflags(write=False)
+    return indptr, keys
 
 
 #: Rows per buffer in :func:`_format_rows`.

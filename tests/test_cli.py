@@ -78,6 +78,22 @@ class TestGenerate:
         assert code == 2
         assert "error:" in err and "--parents" in err
 
+    @pytest.mark.parametrize(
+        "parents, message",
+        [
+            ("1,x", "--parents entry 2 is 'x', not an integer"),
+            ("1,2.5", "--parents entry 2 is '2.5', not an integer"),
+            ("1,,x", "--parents entry 3 is 'x', not an integer"),
+        ],
+    )
+    def test_custom_parents_must_be_integers(self, capsys, parents, message):
+        code, out, err = run_cli(
+            capsys, "generate", "--kind", "custom", "--parents", parents
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_l_must_match_custom_parents(self, capsys):
         code, _, err = run_cli(
             capsys,

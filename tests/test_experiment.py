@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seed_archeology import experiment
+from seed_archeology import experiment, trees
 from seed_archeology.experiment import (
     CSV_HEADER,
     SCHEMA_VERSION,
@@ -224,6 +224,28 @@ class TestRunTrial:
         assert len(estimate.vertices) == record.output_size
         arrivals = view.arrival_labels_of(estimate.vertices)
         assert sum(1 for a in arrivals if a <= 8) == record.overlap
+
+    def test_trial_never_builds_the_csr(self, tmp_path, monkeypatch):
+        # Finders, scoring and the shape writer read only the rooting.
+        def refuse(n, parent):
+            raise AssertionError("built a CSR adjacency")
+
+        monkeypatch.setattr(trees, "_csr_from_parent", refuse)
+        ranked = 0
+        for finder in FinderKind:
+            config = make_config(
+                tmp_path,
+                seed_spec=SeedSpec.star(20),
+                n=20_000,
+                finder=finder,
+                params=FinderParams(l=20, gamma=0.3, epsilon=0.2),
+            )
+            for t in range(3):
+                artifacts = run_trial_artifacts(config, t)
+                artifacts.view.to_text()
+                if finder is FinderKind.STAR:
+                    ranked += not artifacts.estimate.deficit
+        assert ranked  # the star finder ranked the centre's branches
 
     def test_csv_row_layout(self, tmp_path):
         config = make_config(tmp_path, trials=5)

@@ -1,5 +1,7 @@
 """Seed construction, uniform-attachment growth, scrambling, serialization."""
 
+import dataclasses
+import random
 import warnings
 
 import numpy as np
@@ -352,6 +354,9 @@ class TestScramble:
 def assert_csr_equal(view: ShapeView, expected) -> None:
     indptr, indices = expected
     assert view.indptr.dtype == view.indices.dtype == np.int64
+    # Built once, on first read, and read-only.
+    assert view.indptr is view.indptr and view.indices is view.indices
+    assert not (view.indptr.flags.writeable or view.indices.flags.writeable)
     assert view.indptr.tobytes() == indptr.tobytes()
     assert view.indices.tobytes() == indices.tobytes()
 
@@ -378,10 +383,39 @@ class TestCsrBuild:
         assert_csr_equal(ShapeView.from_text(view.to_text()), expected)
 
     def test_repeated_edge_keeps_both_ends(self):
+        # Both ends of the repeated edge count, so the view is refused at
+        # construction for one edge too many.
         us, vs = np.array([2, 3, 2]), np.array([1, 1, 1])
-        view = _view_from_edges(3, us, vs, None)
-        assert_csr_equal(view, oracles.csr_reference(3, us, vs))
-        assert oracles.csr_neighbors(view, 1) == [2, 2, 3]
+        with pytest.raises(ValueError, match="3 edges for 3 vertices"):
+            _view_from_edges(3, us, vs, None)
+
+    @given(
+        parents=parent_vectors(min_n=1, max_n=30),
+        order=st.randoms(use_true_random=False),
+    )
+    @example(parents=(), order=random.Random(0))
+    def test_edge_order_leaves_no_trace(self, parents, order):
+        tree = build_seed(SeedSpec.custom(parents), RngHandle(0))
+        n = tree.n
+        edges = [(i, int(tree.parent_of[i])) for i in range(2, n + 1)]
+        mixed = [(v, u) if order.random() < 0.5 else (u, v) for u, v in edges]
+        order.shuffle(mixed)
+
+        def view_of(pairs):
+            us, vs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            return _view_from_edges(n, us, vs, None)
+
+        a, b = view_of(edges), view_of(mixed)
+        for name in ("indptr", "indices"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for arr, again in zip(a.rooting, b.rooting):
+            assert arr.tobytes() == again.tobytes()
+        assert a.to_text() == b.to_text()
+
+    def test_view_keeps_no_edge_list(self):
+        # The edges come in arrival order; only the rooting is stored.
+        names = [f.name for f in dataclasses.fields(ShapeView)]
+        assert names == ["n", "rooting", "_arrival_of"]
 
     def test_packed_key_range_guarded(self):
         # (n + 1)**2 overflows int64 here; the check comes before any
@@ -700,7 +734,7 @@ class TestFormatRows:
 # rooting
 
 
-def chain_of_four_cycles() -> ShapeView:
+def four_cycle_chain_edges() -> tuple[int, np.ndarray, np.ndarray]:
     """Twelve 4-cycles joined end to end: 48 edges on 49 labels, 37 of
     them on the cycles and the last 12 isolated."""
     us, vs = [], []
@@ -708,8 +742,13 @@ def chain_of_four_cycles() -> ShapeView:
         a, b, c, e = 3 * d + 1, 3 * d + 2, 3 * d + 3, 3 * d + 4
         us += [a, a, b, c]
         vs += [b, c, e, e]
-    n = len(us) + 1
-    return _view_from_edges(n, np.array(us), np.array(vs), None)
+    return len(us) + 1, np.array(us), np.array(vs)
+
+
+def chain_of_four_cycles() -> ShapeView:
+    """The view of :func:`four_cycle_chain_edges`, which its
+    construction refuses."""
+    return _view_from_edges(*four_cycle_chain_edges(), None)
 
 
 def check_rooting(view: ShapeView) -> None:
@@ -740,11 +779,12 @@ class TestRooting:
                 check_rooting(scramble(tree, RngHandle(n)))
 
     def test_rejects_chain_of_four_cycles(self):
-        view = chain_of_four_cycles()
         with pytest.raises(ValueError, match="keeps 37 of 49 vertices"):
-            view.rooting
+            chain_of_four_cycles()
+        n, us, vs = four_cycle_chain_edges()
+        text = f"n={n}\n" + "".join(f"{u} {v}\n" for u, v in zip(us, vs))
         with pytest.raises(ValueError, match="keeps 37 of 49 vertices"):
-            ShapeView.from_text(view.to_text())
+            ShapeView.from_text(text)
 
     def test_anti_centrality_rejects_a_non_tree(self):
         with pytest.raises(ValueError, match="keeps 37 of 49 vertices"):
@@ -752,9 +792,8 @@ class TestRooting:
 
     def test_rejects_edge_to_label_zero(self):
         # An edge to the unused slot 0 must not stand in for vertex 3.
-        view = _view_from_edges(3, np.array([1, 2]), np.array([2, 0]), None)
         with pytest.raises(ValueError, match="1 of them at label 0"):
-            view.rooting
+            _view_from_edges(3, np.array([1, 2]), np.array([2, 0]), None)
 
     def test_rejects_repeated_edge(self):
         with pytest.raises(ValueError, match="keeps 2 of 3 vertices"):
@@ -773,15 +812,15 @@ class TestRooting:
 
     def test_rejects_edge_count_other_than_n_minus_one(self):
         # A 4-cycle connects all four vertices, with one edge too many.
-        view = _view_from_edges(4, np.arange(1, 5), np.array([2, 3, 4, 1]), None)
         with pytest.raises(ValueError, match="4 edges for 4 vertices"):
-            view.rooting
+            _view_from_edges(4, np.arange(1, 5), np.array([2, 3, 4, 1]), None)
 
     def test_rooting_is_cached_and_read_only(self):
         view = scramble(make_tree(SeedSpec.urrt(5), 60), RngHandle(3))
         rooting = view.rooting
         assert view.rooting is rooting
-        fresh = trees._peel(view)
+        us, vs = np.array(oracles.edge_list(view)).T
+        fresh = trees._peel(view.n, us, vs)
         for arr, again in zip(rooting, fresh):
             assert np.array_equal(arr, again)
             with pytest.raises(ValueError, match="read-only"):
