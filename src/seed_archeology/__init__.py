@@ -25,14 +25,12 @@ from .experiment import (
     run_experiment,
     run_trial_artifacts,
     validate_formulas,
-    wilson_interval,
 )
 from .finders import (
     EstimateKind,
     FinderKind,
     FinderParams,
     SeedEstimate,
-    depth_scale,
     find_path_seed,
     find_star_seed,
     find_urrt_seed,
@@ -98,7 +96,6 @@ __all__ = [
     "config_from_dict",
     "count_camouflaging",
     "deep_tail_check",
-    "depth_scale",
     "descendant_histogram",
     "find_path_seed",
     "find_star_seed",
@@ -120,5 +117,4 @@ __all__ = [
     "star_collision_frequency",
     "star_collision_probability",
     "validate_formulas",
-    "wilson_interval",
 ]

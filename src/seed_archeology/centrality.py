@@ -3,11 +3,11 @@
 For a tree T and vertex v, ``psi(v)`` is the size of the largest component
 of T with v removed.  Small values are central: the minimizers are the
 (at most two, adjacent) centroids.  All routines here run in O(n) from the
-view's rooting at its centre
-(:attr:`~seed_archeology.trees.ShapeView.rooting`), which carries every
-subtree size: ``psi(v) = max(largest child subtree, n - subtree(v))``.
-The result does not depend on the root (the n - subtree term is 0 at the
-root itself).
+view's checked rooting (:attr:`~seed_archeology.trees.ShapeView.rooting`),
+which carries every subtree size:
+``psi(v) = max(largest child subtree, n - subtree(v))``.  The result does
+not depend on the root (the n - subtree term is 0 at the root itself), so
+a view rooted anywhere gives the same psi, centroids and branch sizes.
 
 Everything operates on :class:`~seed_archeology.trees.ShapeView` and is
 pure; no floating point is involved.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngHandle
-from .trees import ShapeView
+from .trees import Rooting, ShapeView
 
 __all__ = [
     "CentralityProfile",
@@ -32,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CentralityProfile:
-    """Per-vertex anti-centrality, with the rooted sizes that produced it.
+    """Per-vertex anti-centrality, with the rooting that produced it.
 
     Attributes
     ----------
@@ -40,13 +40,10 @@ class CentralityProfile:
         Vertex count.
     psi : numpy.ndarray
         Length ``n + 1``; ``psi[v]`` is the largest component size of the
-        tree with v deleted.  Index 0 unused.
-    rooted_subtree_size : numpy.ndarray
-        Length ``n + 1``; subtree sizes when the tree is rooted at its
-        centre, the larger label of a bicentral pair.
-    rooted_parent : numpy.ndarray
-        Length ``n + 1``; each vertex's parent in that rooting, 0 for the
-        root.
+        tree with v deleted.  Index 0 unused.  Read-only.
+    rooting : Rooting
+        The view's own rooting, shared rather than copied; its arrays are
+        read-only.
     centroids : frozenset of int
         Vertices attaining the minimum psi; one or two, and if two they
         are adjacent.
@@ -54,28 +51,18 @@ class CentralityProfile:
 
     n: int
     psi: np.ndarray
-    rooted_subtree_size: np.ndarray
-    rooted_parent: np.ndarray
+    rooting: Rooting
     centroids: frozenset[int]
 
     def __post_init__(self) -> None:
-        for name in ("psi", "rooted_subtree_size", "rooted_parent"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        psi = np.ascontiguousarray(self.psi, dtype=np.int64)
+        psi.setflags(write=False)
+        object.__setattr__(self, "psi", psi)
 
 
 def anti_centrality(view: ShapeView) -> CentralityProfile:
-    """Compute psi for every vertex of `view` in O(n).
-
-    Raises
-    ------
-    ValueError
-        If the view is empty or its edges do not form a tree.
-    """
+    """Compute psi for every vertex of `view` in O(n)."""
     n = view.n
-    if n < 1:
-        raise ValueError("cannot rank an empty tree")
     parent, size = view.rooting
     # The root's own size lands in the unused slot 0.
     max_child = np.zeros(n + 1, dtype=np.int64)
@@ -84,7 +71,7 @@ def anti_centrality(view: ShapeView) -> CentralityProfile:
     psi[0] = 0
     best = psi[1:].min()
     centroids = frozenset(int(v) for v in np.flatnonzero(psi[1:] == best) + 1)
-    return CentralityProfile(n, psi, size, parent, centroids)
+    return CentralityProfile(n, psi, view.rooting, centroids)
 
 
 def select_most_central(
@@ -111,14 +98,14 @@ def branch_sizes_at(profile: CentralityProfile, v: int) -> dict[int, int]:
     """Component sizes of the tree with `v` deleted, keyed by neighbor.
 
     For each neighbor u of v, the value is the size of the component of
-    T minus v that contains u.  Values sum to ``n - 1``.  Read off the
-    rooting at the centre that `profile` was computed on: each child keeps
-    its subtree, and v's parent, if v has one, keeps everything outside
-    v's subtree.
+    T minus v that contains u.  Values sum to ``n - 1``.  Read off
+    ``profile.rooting``, the view's rooting, whatever its root: each child
+    keeps its subtree, and v's parent, if v has one, keeps everything
+    outside v's subtree.
     """
     if not 1 <= v <= profile.n:
         raise ValueError(f"vertex {v} not in 1..{profile.n}")
-    parent, size = profile.rooted_parent, profile.rooted_subtree_size
+    parent, size = profile.rooting
     children = np.flatnonzero(parent == v)
     branches = dict(zip(children.tolist(), size[children].tolist()))
     if parent[v]:

@@ -113,12 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--epsilon", type=float, required=True, help="failure budget in (0,1)"
     )
-    p.add_argument(
-        "--jog-loh-c",
-        type=float,
-        default=1.0,
-        help="constant in the star guarantee threshold (default 1)",
-    )
     _add_seed_args(p)
     p.add_argument("--output", help="write here instead of stdout")
     p.set_defaults(func=_cmd_find)
@@ -257,12 +251,7 @@ def _cmd_centrality(args) -> int:
 
 def _cmd_find(args) -> int:
     view = _load_view(_read_input(args.input))
-    params = FinderParams(
-        l=args.l,
-        gamma=args.gamma,
-        epsilon=args.epsilon,
-        jog_loh_c=args.jog_loh_c,
-    )
+    params = FinderParams(l=args.l, gamma=args.gamma, epsilon=args.epsilon)
     finder = {
         "path": find_path_seed,
         "star": find_star_seed,

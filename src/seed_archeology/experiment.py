@@ -66,7 +66,6 @@ __all__ = [
     "TrialArtifacts",
     "run_experiment",
     "validate_formulas",
-    "wilson_interval",
 ]
 
 SCHEMA_VERSION = 1
@@ -323,7 +322,7 @@ class Summary:
         }
 
 
-def wilson_interval(p_hat: float, n: int, z: float = _Z95) -> tuple[float, float]:
+def _wilson_interval(p_hat: float, n: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one observation")
@@ -341,7 +340,7 @@ def _proportion_metric(values: np.ndarray) -> MetricSummary:
     n = values.size
     p = float(values.mean())
     se = math.sqrt(p * (1.0 - p) / n)
-    low, high = wilson_interval(p, n)
+    low, high = _wilson_interval(p, n)
     return MetricSummary(p, se, low, high)
 
 
@@ -450,16 +449,23 @@ def validate_formulas(suite: str, trials: int | None, rng: RngHandle) -> dict:
     }
 
 
+def _check(
+    name: str, empirical: float, theoretical: float, se: float, passed: bool
+) -> dict:
+    """One sub-check of a suite report, in the report's key order."""
+    return {
+        "name": name,
+        "empirical": empirical,
+        "theoretical": theoretical,
+        "se": se,
+        "passed": bool(passed),
+    }
+
+
 def _three_se_check(name: str, values: np.ndarray, exact: float) -> dict:
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(values.size))
-    return {
-        "name": name,
-        "empirical": mean,
-        "theoretical": exact,
-        "se": se,
-        "passed": bool(abs(mean - exact) <= 3.0 * se),
-    }
+    return _check(name, mean, exact, se, abs(mean - exact) <= 3.0 * se)
 
 
 def _descendants_suite(trials: int, rng: RngHandle) -> list[dict]:
@@ -506,15 +512,8 @@ def _camouflage_suite(trials: int, rng: RngHandle) -> list[dict]:
     mean = float(counts.mean())
     se = float(counts.std(ddof=1) / math.sqrt(trials))
     bound = l / 384.0
-    return [
-        {
-            "name": f"mean G l={l} >= l/384",
-            "empirical": mean,
-            "theoretical": bound,
-            "se": se,
-            "passed": bool(mean - 3.0 * se >= bound),
-        }
-    ]
+    passed = mean - 3.0 * se >= bound
+    return [_check(f"mean G l={l} >= l/384", mean, bound, se, passed)]
 
 
 def _polya_suite(trials: int, rng: RngHandle) -> list[dict]:
@@ -536,25 +535,21 @@ def _polya_suite(trials: int, rng: RngHandle) -> list[dict]:
     # Delta-method SE of the sample variance: sqrt((m4 - s2^2) / trials).
     m4 = float(np.mean(centered**4))
     se = math.sqrt(max(m4 - s2 * s2, 0.0) / trials)
-    var_check = {
-        "name": f"urn ({red},{blue}) fraction variance",
-        "empirical": s2,
-        "theoretical": var_exact,
-        "se": se,
-        "passed": bool(abs(s2 - var_exact) <= 3.0 * se),
-    }
-    return [mean_check, var_check]
+    name = f"urn ({red},{blue}) fraction variance"
+    passed = abs(s2 - var_exact) <= 3.0 * se
+    return [mean_check, _check(name, s2, var_exact, se, passed)]
 
 
 def _tails_suite(trials: int, rng: RngHandle) -> list[dict]:
     deep = stats.deep_tail_check(64, 1, trials, rng)
-    checks = [{"name": "deep-vertex tail n=64 k=1", **deep.verdict()}]
+    tails = [("deep-vertex tail n=64 k=1", deep)]
     for t in (5.0, 30.0):
         mc = stats.mcdiarmid_tail_check(60, t, trials, rng)
-        checks.append(
-            {"name": f"camouflage lower tail l=60 t={t:g}", **mc.verdict()}
-        )
-    return checks
+        tails.append((f"camouflage lower tail l=60 t={t:g}", mc))
+    return [
+        _check(name, r.empirical, r.theoretical, r.se, r.passed)
+        for name, r in tails
+    ]
 
 
 #: Each suite's runner and its default trial count.

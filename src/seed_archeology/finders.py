@@ -176,7 +176,7 @@ def find_urrt_seed(
     vertices.  Shrinking eps grows a and therefore never grows the target.
     """
     _require_embedded_seed(view, params.l, minimum=1)
-    a = depth_scale(params.l, params.epsilon)
+    a = _depth_scale(params.l, params.epsilon)
     target = max(1, _stable_floor(params.l / (3.0 * a)))
     chosen = select_most_central(anti_centrality(view), target, rng)
     return SeedEstimate(chosen, EstimateKind.FIRST, target)
@@ -207,7 +207,7 @@ def guarantee_threshold(kind: FinderKind, params: FinderParams) -> int | bool:
         )
         return max(1, _stable_ceil(bound))
     if kind is FinderKind.URRT:
-        a = depth_scale(params.l, params.epsilon)
+        a = _depth_scale(params.l, params.epsilon)
         need = 64.0 * a * a * math.log(
             22.0 * a * params.l**2 / params.epsilon
         )
@@ -215,7 +215,7 @@ def guarantee_threshold(kind: FinderKind, params: FinderParams) -> int | bool:
     raise ValueError(f"unknown finder kind {kind!r}")
 
 
-def depth_scale(l: int, epsilon: float) -> float:
+def _depth_scale(l: int, epsilon: float) -> float:
     """The scale ``a = 2 ln(4 l^2 / eps) + 1`` used by the urrt finder."""
     return 2.0 * math.log(4.0 * l * l / epsilon) + 1.0
 

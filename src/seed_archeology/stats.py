@@ -309,15 +309,6 @@ class TailCheckResult:
     def passed(self) -> bool:
         return self.empirical <= self.theoretical + 3.0 * self.se
 
-    def verdict(self) -> dict:
-        """``empirical``, ``theoretical``, ``se`` and ``passed``, in that order."""
-        return {
-            "empirical": self.empirical,
-            "theoretical": self.theoretical,
-            "se": self.se,
-            "passed": self.passed,
-        }
-
 
 def mcdiarmid_tail_check(
     l: int, t: float, trials: int, rng: RngHandle

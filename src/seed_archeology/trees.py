@@ -201,9 +201,10 @@ class ArrivalTree:
 class ShapeView:
     """A tree with its labels scrambled, as handed to seed finders.
 
-    The view stores the tree rooted at its centre: per-vertex parent and
-    subtree-size arrays over shape labels, a function of the shape alone,
-    so nothing about arrival order survives in the data a finder can touch.
+    The view stores the tree rooted at a vertex: per-vertex parent and
+    subtree-size arrays over shape labels.  Rooted at the centre, they are
+    a function of the shape alone, so nothing about arrival order survives
+    in the data a finder can touch.
     The edge list the view was built from is not kept, since its order
     would give the arrival order away.  The relabeling needed for scoring
     lives in ``_arrival_of`` and is read through :meth:`arrival_labels_of`
@@ -216,9 +217,12 @@ class ShapeView:
     n : int
         Vertex count; shape labels are ``1..n``.
     rooting : Rooting
-        The tree rooted at its centre, the vertex of least eccentricity; of
-        a bicentral pair, the larger label.  Every finder ranks vertices
-        through this one orientation.
+        The tree rooted at one of its vertices.  Every finder ranks
+        vertices through this one orientation.  Views the package builds
+        are rooted at the centre, the vertex of least eccentricity (of a
+        bicentral pair, the larger label); a view built by hand may be
+        rooted anywhere.  Checked in O(n) on construction, which raises
+        ``ValueError`` naming the broken rule, and stored read-only.
     indptr, indices : numpy.ndarray
         CSR adjacency over 1-based labels: the neighbors of ``v`` are
         ``indices[indptr[v]:indptr[v + 1]]``, ascending.  Built from the
@@ -230,6 +234,13 @@ class ShapeView:
     _arrival_of: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        parent, size = (
+            np.ascontiguousarray(arr, dtype=np.int64) for arr in self.rooting
+        )
+        _check_rooting(self.n, parent, size)
+        for arr in (parent, size):
+            arr.setflags(write=False)
+        object.__setattr__(self, "rooting", Rooting(parent, size))
         if self._arrival_of is not None:
             perm = np.ascontiguousarray(self._arrival_of, dtype=np.int64)
             perm.setflags(write=False)
@@ -292,7 +303,7 @@ class ShapeView:
 
 
 class Rooting(NamedTuple):
-    """A tree oriented away from its centre (see :attr:`ShapeView.rooting`).
+    """A tree oriented away from a root (see :attr:`ShapeView.rooting`).
 
     Attributes
     ----------
@@ -302,7 +313,11 @@ class Rooting(NamedTuple):
         Length ``n + 1``; the vertex count of each vertex's subtree, that
         is, of its component away from its parent.  Slot 0 holds 0.
 
-    Both arrays are read-only.
+    A view checks, and then makes read-only, that slot 0 holds 0 in both
+    arrays, every parent lies in ``0..n``, exactly one vertex of ``1..n``
+    has parent 0, every size lies in ``1..n``, and each size is 1 plus the
+    sum of its children's sizes.  Together these hold exactly when the
+    parents form one tree on ``1..n`` and the sizes are its subtree sizes.
     """
 
     parent: np.ndarray
@@ -365,9 +380,8 @@ def scramble(tree: ArrivalTree, rng: RngHandle) -> ShapeView:
     shape_of[1:] = rng.generator.permutation(n) + 1
     arrival_of = np.zeros(n + 1, dtype=np.int64)
     arrival_of[shape_of[1:]] = np.arange(1, n + 1)
-    children = np.arange(2, n + 1)
-    us = shape_of[children]
-    vs = shape_of[tree.parent_of[children]]
+    us = shape_of[2:]
+    vs = shape_of[tree.parent_of[2:]]
     return _view_from_edges(n, us, vs, arrival_of)
 
 
@@ -380,7 +394,7 @@ def identity_view(tree: ArrivalTree) -> ShapeView:
     n = tree.n
     children = np.arange(2, n + 1)
     return _view_from_edges(
-        n, children, tree.parent_of[children], np.arange(n + 1, dtype=np.int64)
+        n, children, tree.parent_of[2:], np.arange(n + 1, dtype=np.int64)
     )
 
 
@@ -463,9 +477,34 @@ def _peel(n: int, us: np.ndarray, vs: np.ndarray) -> Rooting:
             f"edge list is not a connected tree: a cycle keeps {cyclic} of "
             f"{n} vertices from being peeled"
         )
-    for arr in (parent, size):
-        arr.setflags(write=False)
     return Rooting(parent, size)
+
+
+def _check_rooting(n: int, parent: np.ndarray, size: np.ndarray) -> None:
+    """Refuse a rooting that is not a tree on ``1..n`` with its subtree
+    sizes, naming the first rule it breaks (see :class:`Rooting`).
+
+    With a single root and every size positive, the size rule rules out a
+    cycle: each vertex on it would be larger than the one before.  The
+    child sums are int64 and at most ``n * n``, so they are exact; one
+    scratch array of n + 1 is the check's only allocation.
+    """
+    if parent.shape != (n + 1,) or size.shape != (n + 1,):
+        raise ValueError(f"rooting arrays must have length n + 1 = {n + 1}")
+    roots = n - np.count_nonzero(parent[1:])
+    if roots != 1:
+        raise ValueError(f"rooting has {roots} roots among 1..{n}, not one")
+    if parent[0] or size[0]:
+        raise ValueError("rooting slot 0 must hold 0 in both arrays")
+    if parent.min() < 0 or parent.max() > n:
+        raise ValueError(f"rooting has a parent outside 0..{n}")
+    if size[1:].min() < 1 or size.max() > n:
+        raise ValueError(f"rooting has a subtree size outside 1..{n}")
+    child_sum = np.ones(n + 1, dtype=np.int64)
+    np.add.at(child_sum, parent, size)
+    child_sum -= size
+    if child_sum[1:].any():
+        raise ValueError("rooting breaks size = 1 + its children's sizes")
 
 
 def _tree_edges(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

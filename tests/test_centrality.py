@@ -15,6 +15,7 @@ from seed_archeology.centrality import (
 )
 from seed_archeology.rng import RngHandle
 from seed_archeology.trees import (
+    Rooting,
     SeedSpec,
     ShapeView,
     build_seed,
@@ -134,13 +135,21 @@ class TestAntiCentrality:
         view = view_of((1, 1, 2, 2, 3))
         profile = anti_centrality(view)
         # Rooted at the centre, label 1: subtree sizes by hand.
-        assert list(profile.rooted_subtree_size[1:]) == [6, 3, 2, 1, 1, 1]
+        assert list(profile.rooting.size[1:]) == [6, 3, 2, 1, 1, 1]
 
     def test_profile_shares_the_view_rooting(self):
         view = view_of((1, 1, 2, 2, 3), scramble_seed=5)
         first, second = anti_centrality(view), anti_centrality(view)
-        assert first.rooted_parent is second.rooted_parent
-        assert first.rooted_parent is view.rooting.parent
+        assert first.rooting is view.rooting
+        assert second.rooting is view.rooting
+
+    def test_root_away_from_the_centre_changes_nothing(self):
+        # The path 1 - 2 - 3 rooted at its end 1 rather than its centre.
+        view = ShapeView(3, Rooting([0, 0, 1, 2], [0, 3, 2, 1]))
+        profile = anti_centrality(view)
+        assert list(profile.psi[1:]) == [2, 1, 2]
+        assert profile.centroids == {2}
+        assert branch_sizes_at(profile, 2) == {1: 1, 3: 1}
 
     def test_profile_arrays_read_only(self):
         profile = anti_centrality(view_of((1, 2)))

@@ -395,6 +395,18 @@ class TestFind:
         assert code == 2
         assert "gamma" in err
 
+    def test_jog_loh_c_option_is_gone(self, capsys, tmp_path):
+        # No finder reads the constant; only guarantee_threshold does.
+        shape_file, _ = self.make_shape(capsys, tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "find", str(shape_file),
+                "--kind", "star", "--l", "5",
+                "--gamma", "0.3", "--epsilon", "0.1",
+                "--jog-loh-c", "2",
+            ])
+        assert excinfo.value.code == 2
+
 
 # ---------------------------------------------------------------------------
 # stats

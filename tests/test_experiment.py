@@ -19,7 +19,7 @@ from seed_archeology.experiment import (
     run_experiment,
     run_trial_artifacts,
     validate_formulas,
-    wilson_interval,
+    _wilson_interval,
 )
 from seed_archeology.finders import FinderKind, FinderParams
 from seed_archeology.rng import SEED_ENV_VAR, RngHandle
@@ -508,20 +508,20 @@ class TestValidateFormulas:
 
 class TestWilsonInterval:
     def test_even_split_published_value(self):
-        low, high = wilson_interval(0.5, 100)
+        low, high = _wilson_interval(0.5, 100)
         assert low == pytest.approx(0.40381, abs=2e-4)
         assert high == pytest.approx(0.59619, abs=2e-4)
 
     def test_zero_successes_still_open_interval(self):
-        low, high = wilson_interval(0.0, 50)
+        low, high = _wilson_interval(0.0, 50)
         assert low == pytest.approx(0.0, abs=1e-12)
         assert high == pytest.approx(0.0714, abs=1e-3)
 
     def test_needs_observations(self):
         with pytest.raises(ValueError, match="observation"):
-            wilson_interval(0.5, 0)
+            _wilson_interval(0.5, 0)
 
     def test_contains_point_estimate(self):
         for p in (0.1, 0.33, 0.9):
-            low, high = wilson_interval(p, 40)
+            low, high = _wilson_interval(p, 40)
             assert low < p < high

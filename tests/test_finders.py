@@ -20,7 +20,7 @@ from seed_archeology.finders import (
     EstimateKind,
     FinderKind,
     FinderParams,
-    depth_scale,
+    _depth_scale,
     find_path_seed,
     find_star_seed,
     find_urrt_seed,
@@ -263,7 +263,7 @@ class TestStarFinder:
 class TestUrrtFinder:
     def test_depth_scale_value(self):
         # a = 2 ln(4 * 300^2 / 0.1) + 1
-        assert depth_scale(300, 0.1) == pytest.approx(31.1929, abs=1e-3)
+        assert _depth_scale(300, 0.1) == pytest.approx(31.1929, abs=1e-3)
 
     def test_bare_urrt_300_targets_three(self):
         view = identity_view(build_seed(SeedSpec.urrt(300), RngHandle(12)))

@@ -17,6 +17,7 @@ from seed_archeology.centrality import anti_centrality
 from seed_archeology.rng import RngHandle
 from seed_archeology.trees import (
     ArrivalTree,
+    Rooting,
     SeedKind,
     SeedSpec,
     ShapeView,
@@ -787,8 +788,48 @@ class TestRooting:
             ShapeView.from_text(text)
 
     def test_anti_centrality_rejects_a_non_tree(self):
-        with pytest.raises(ValueError, match="keeps 37 of 49 vertices"):
-            anti_centrality(chain_of_four_cycles())
+        # 1 and 2 are each other's parent, beside the root 3: the view
+        # refuses the rooting before anti_centrality can rank it.
+        with pytest.raises(ValueError, match="size outside 1..3"):
+            anti_centrality(ShapeView(3, Rooting([0, 2, 1, 0], [0, 5, 1, 1])))
+
+    @pytest.mark.parametrize(
+        "n, parent, size, rule",
+        [
+            # The 2-cycle above, with sizes in range, breaks the size rule.
+            (3, [0, 2, 1, 0], [0, 2, 3, 1], "1 \\+ its children's sizes"),
+            (3, [0, 0, 1, 0], [0, 2, 1, 1], "2 roots among 1..3"),
+            (3, [0, 0, 1, 4], [0, 3, 1, 1], "parent outside 0..3"),
+            (3, [0, 0, -1, 1], [0, 3, 1, 1], "parent outside 0..3"),
+            (3, [0, 0, 1, 1], [0, 3, 1, 0], "size outside 1..3"),
+            (3, [0, 0, 1, 1], [0, 4, 1, 1], "size outside 1..3"),
+            (3, [0, 0, 1, 1], [0, 3, 2, 1], "1 \\+ its children's sizes"),
+            (3, [0, 0, 1, 2], [0, 3, 1, 1], "1 \\+ its children's sizes"),
+            (3, [1, 0, 1, 1], [0, 3, 1, 1], "slot 0"),
+            (3, [0, 0, 1], [0, 3, 1], "length n \\+ 1 = 4"),
+            (0, [0], [0], "0 roots among 1..0"),
+        ],
+    )
+    def test_hand_built_rooting_rejected(self, n, parent, size, rule):
+        with pytest.raises(ValueError, match=rule):
+            ShapeView(n, Rooting(parent, size))
+
+    def test_hand_built_arrays_come_out_read_only(self):
+        parent = np.array([0, 0, 1, 1], dtype=np.int32)
+        size = np.array([0, 3, 1, 1], dtype=np.int64)
+        view = ShapeView(3, Rooting(parent, size))
+        assert view.to_text() == "n=3\n1 2\n1 3\n"
+        for arr in view.rooting:
+            assert arr.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    @given(parents=parent_vectors(max_n=30))
+    def test_every_built_view_passes_the_check(self, parents):
+        tree = build_seed(SeedSpec.custom(parents), RngHandle(0))
+        for view in (identity_view(tree), scramble(tree, RngHandle(2))):
+            again = ShapeView(view.n, view.rooting, view._arrival_of)
+            assert again.to_text() == view.to_text()
 
     def test_rejects_edge_to_label_zero(self):
         # An edge to the unused slot 0 must not stand in for vertex 3.
